@@ -96,7 +96,8 @@ struct Edge {
   std::vector<std::uint32_t> unpaused;  // resumed this batch: drain them
 
   // Per-session edge bookkeeping, indexed by the DENSE edge-local index
-  // (local_slot * group_width + lane; the session id itself for a
+  // (local_slot * group_width + lane: the group's fresh-id counter value
+  // the session was opened under; the session id itself for a
   // single-edge server). owner_of[d] is the connection slot (or
   // kNoOwner), pending_of[d] counts that session's entries in pending,
   // batch_stamp[d] marks "already in this round" (a session decides at
@@ -105,7 +106,6 @@ struct Edge {
   std::vector<std::uint32_t> pending_of;
   std::vector<std::uint64_t> batch_stamp;
   std::uint64_t batch_round = 0;
-  std::size_t open_cursor = 0;  // round-robin lane for multi-edge opens
 
   // Round scratch (persists across batches; steady state allocates
   // nothing).

@@ -15,9 +15,10 @@
 //     pools,
 //   - a contiguous GROUP of the service's shard lanes (submitter group e
 //     of DecisionServiceConfig::submitter_count = edge_threads): the
-//     edge opens its sessions round-robin over its own shards and
-//     submits its micro-batches through DecideBatchGroup, so the epoch
-//     tickets stay single-submitter per lane.
+//     edge opens its sessions through OpenSession(e) - the group's own
+//     id allocator, striped over its shards - and submits its
+//     micro-batches through DecideBatch(..., e), so the epoch tickets
+//     stay single-submitter per lane.
 //
 // Nothing mutable is shared between edge threads on the read / decode /
 // decide path; the only cross-edge state is a handful of atomics (the
@@ -27,15 +28,15 @@
 //
 //   backend->Pump (epoll_wait or io_uring_enter; accept / drain readable
 //   sockets) -> parse frames, admit or reject each request -> when
-//   admitted STEPs are pending, ONE DecideBatchGroup over all of them
+//   admitted STEPs are pending, ONE DecideBatch over all of them
 //   (micro-batching across connections and sessions) -> encode replies
 //   into per-connection output queues -> flush with vectored writes,
 //   partial writes continue under EPOLLOUT / send CQEs.
 //
-// edge_threads = 1 is bit-identical to the classic single-loop server:
-// one group = every shard, the global id allocator, the same admission
-// arithmetic (the shared budget sees exactly one edge), the same wire
-// bytes. The backend choice never changes the decision stream either -
+// Every edge count runs this one path; with edge_threads = 1 the single
+// group spans every shard, session ids run 0, 1, 2, ... (most recently
+// closed recycled first) and the shared budget sees exactly one edge.
+// The backend choice never changes the decision stream either -
 // framing, per-round dedup, batching, admission and drain are shared
 // above the Backend interface.
 //
@@ -100,7 +101,7 @@ struct NetServerConfig {
   /// Independent event-loop threads, each with its own SO_REUSEPORT
   /// listener and its own contiguous group of service shard lanes. Must
   /// be >= 1; service.shard_count must be >= edge_threads (one lane per
-  /// edge minimum). 1 = the classic single-loop server.
+  /// edge minimum). 1 = one event loop serving every lane.
   std::size_t edge_threads = 1;
   /// Per-edge IO driver. kUring silently falls back to kEpoll (with one
   /// stderr notice) when the kernel denies io_uring - backend_kind()
@@ -219,13 +220,10 @@ class NetServer {
   /// published counters (the STATS reply payload).
   ServerStats BuildStats(Edge& edge);
   /// Edge-local dense index of a session id (slots for owner/pending/
-  /// stamp bookkeeping): local * group_width + (shard - group_begin).
-  /// With one edge this is the id itself.
+  /// stamp bookkeeping): local * group_width + (shard - group_begin),
+  /// i.e. the group's fresh-id counter value the id was first opened
+  /// under. With one edge this is the id itself.
   std::size_t DenseIndex(const Edge& edge, std::uint64_t session) const;
-  /// Exact session bytes of the edge's shard group (full-service walk
-  /// for the single-edge server - its one group owns everything
-  /// including the global id free list).
-  std::size_t GroupSessionBytes(const Edge& edge) const;
 
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "nn/simd.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 // Batch-axis SIMD for the packed Linear op. Offline scoring passes hand
 // InferBatch dozens of states at once; states are completely independent,
@@ -244,7 +244,7 @@ void BatchedEnsemble::ApplyOp(const PackedOp& op, const double* x,
       const std::size_t in = op.in;
       const std::size_t out = op.out;
 #ifdef OSAP_ENSEMBLE_BATCH_SIMD
-      const bool simd = batch >= 4 && UseAvx2();
+      const bool simd = batch >= 4 && util::UseAvx2();
 #endif
       for (std::size_t m = 0; m < k_members; ++m) {
         const double* w = op.weights.data() + m * in * out;

@@ -32,8 +32,10 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
     OSAP_REQUIRE(config_.calibration_refresh_epochs > 0,
                  "DecisionService: calibration_refresh_epochs must be > 0");
   }
-  // Until the first sketch publication the live threshold is the
-  // model's frozen one, so warm-up decisions match the reference arm.
+  // Until the first sketch publication - and always without online
+  // calibration - the live threshold is the model's frozen one (what
+  // core::SafetyObserve compares against), so those decisions match the
+  // sequential SafetyCore bit for bit.
   live_alpha_.store(model_->safety().trigger.mode ==
                             core::TriggerMode::kBinary
                         ? 0.5
@@ -63,22 +65,18 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
         util::WindowedP2Quantile(1.0 - config_.calibration_miscoverage,
                                  config_.calibration_window));
   }
-  group_counts_.resize(config_.submitter_count);
+  groups_.resize(config_.submitter_count);
   for (std::size_t g = 0; g < config_.submitter_count; ++g) {
-    group_counts_[g].resize(GroupEnd(g) - GroupBegin(g), 0);
-  }
-  if (config_.shard_workers) {
+    groups_[g].counts.resize(GroupEnd(g) - GroupBegin(g), 0);
     // One persistent worker per shard that is not the first of its group;
     // group-first shards run on their group's submitting thread.
-    for (std::size_t g = 0; g < config_.submitter_count; ++g) {
-      for (std::size_t s = GroupBegin(g) + 1; s < GroupEnd(g); ++s) {
-        worker_shards_.push_back(s);
-      }
+    for (std::size_t s = GroupBegin(g) + 1; s < GroupEnd(g); ++s) {
+      worker_shards_.push_back(s);
     }
-    workers_.reserve(worker_shards_.size());
-    for (const std::size_t s : worker_shards_) {
-      workers_.emplace_back([this, s] { WorkerLoop(s); });
-    }
+  }
+  workers_.reserve(worker_shards_.size());
+  for (const std::size_t s : worker_shards_) {
+    workers_.emplace_back([this, s] { WorkerLoop(s); });
   }
 }
 
@@ -138,37 +136,20 @@ DecisionService::SessionId DecisionService::InitSession(std::size_t shard,
   return local * shards_.size() + shard;
 }
 
-DecisionService::SessionId DecisionService::OpenSession() {
-  OSAP_REQUIRE(config_.submitter_count == 1,
-               "OpenSession: submitter groups must open via "
-               "OpenSessionOnShard");
-  SessionId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-  } else {
-    id = next_id_++;
+DecisionService::SessionId DecisionService::OpenSession(std::size_t group) {
+  OSAP_REQUIRE(group < groups_.size(), "OpenSession: bad group");
+  SubmitterGroup& g = groups_[group];
+  if (!g.free_ids.empty()) {
+    const SessionId id = g.free_ids.back();
+    g.free_ids.pop_back();
+    return InitSession(ShardOf(id), LocalOf(id));
   }
-  const SessionId got = InitSession(ShardOf(id), LocalOf(id));
-  OSAP_CHECK(got == id);
-  return id;
-}
-
-DecisionService::SessionId DecisionService::OpenSessionOnShard(
-    std::size_t shard) {
-  OSAP_REQUIRE(config_.submitter_count > 1,
-               "OpenSessionOnShard: single-submitter services use "
-               "OpenSession (global id recycling)");
-  OSAP_REQUIRE(shard < shards_.size(), "OpenSessionOnShard: bad shard");
-  ShardLane& lane = *shards_[shard];
-  std::size_t local;
-  if (!lane.free_locals.empty()) {
-    local = lane.free_locals.back();
-    lane.free_locals.pop_back();
-  } else {
-    local = lane.sessions.hot.size();
-  }
-  return InitSession(shard, local);
+  // Fresh ids stripe over the group's shards; with one group this makes
+  // the id equal to the counter itself.
+  const std::size_t begin = GroupBegin(group);
+  const std::size_t width = GroupEnd(group) - begin;
+  const std::size_t c = g.fresh++;
+  return InitSession(begin + c % width, c / width);
 }
 
 void DecisionService::CloseSession(SessionId id) {
@@ -183,11 +164,7 @@ void DecisionService::CloseSession(SessionId id) {
     lane.extractors.Trim();
   }
   lane.sessions.open[local] = 0;
-  if (config_.submitter_count == 1) {
-    free_ids_.push_back(id);
-  } else {
-    lane.free_locals.push_back(static_cast<std::uint32_t>(local));
-  }
+  groups_[GroupOfShard(ShardOf(id))].free_ids.push_back(id);
   active_count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -259,7 +236,7 @@ void DecisionService::DrainEpoch(std::size_t shard, const EpochSlot& slot) {
     lane.epochs_since_publish = 0;
     PublishCalibration(shard);
   }
-  if (config_.lane_shrink_after > 0) MaybeShrinkLane(lane, slot.count);
+  MaybeShrinkLane(lane, slot.count);
 }
 
 void DecisionService::PublishCalibration(std::size_t shard) {
@@ -293,7 +270,7 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   lane.peak_count = std::max(lane.peak_count, count);
   lane.peak_arena_used =
       std::max(lane.peak_arena_used, lane.arena.UsedBytes());
-  if (++lane.epochs_since_shrink < config_.lane_shrink_after) return;
+  if (++lane.epochs_since_shrink < kLaneShrinkAfter) return;
 
   // Release anything allocated for more than 2x the period's high-water
   // need; the next spike simply regrows it. Matrices are released whole
@@ -323,18 +300,9 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
 }
 
 void DecisionService::DecideBatch(std::span<const Request> requests,
-                                  std::span<mdp::Action> out) {
-  OSAP_REQUIRE(config_.submitter_count == 1,
-               "DecideBatch: submitter groups must submit via "
-               "DecideBatchGroup");
-  DecideBatchGroup(0, requests, out);
-}
-
-void DecisionService::DecideBatchGroup(std::size_t group,
-                                       std::span<const Request> requests,
-                                       std::span<mdp::Action> out) {
-  OSAP_REQUIRE(group < config_.submitter_count,
-               "DecideBatchGroup: bad group");
+                                  std::span<mdp::Action> out,
+                                  std::size_t group) {
+  OSAP_REQUIRE(group < groups_.size(), "DecideBatch: bad group");
   OSAP_REQUIRE(out.size() >= requests.size(),
                "DecideBatch: output span too short");
   if (requests.empty()) return;
@@ -352,7 +320,7 @@ void DecisionService::DecideBatchGroup(std::size_t group,
   for (const Request& r : requests) {
     const std::size_t shard = ShardOf(r.session);
     OSAP_REQUIRE(shard >= begin && shard < end,
-                 "DecideBatchGroup: session outside the submitter group");
+                 "DecideBatch: session outside the submitter group");
     SessionTable& table = shards_[shard]->sessions;
     const std::size_t local = LocalOf(r.session);
     OSAP_REQUIRE(local < table.open.size() && table.open[local] != 0,
@@ -369,7 +337,7 @@ void DecisionService::DecideBatchGroup(std::size_t group,
   // every-shard-scans-every-request partition). Reserve() is safe here
   // because every worker of THIS group is parked between its epochs and
   // other groups never touch these lanes.
-  std::vector<std::size_t>& counts = group_counts_[group];
+  std::vector<std::size_t>& counts = groups_[group].counts;
   counts.assign(end - begin, 0);
   for (const Request& r : requests) ++counts[ShardOf(r.session) - begin];
   for (std::size_t s = begin; s < end; ++s) {
@@ -379,16 +347,6 @@ void DecisionService::DecideBatchGroup(std::size_t group,
     const bool pushed = shards_[ShardOf(requests[i].session)]->ring.Push(
         static_cast<std::uint32_t>(i));
     OSAP_REQUIRE(pushed, "DecideBatch: shard ring overflow");
-  }
-
-  if (!config_.shard_workers) {
-    // Serial mode: run every shard of the group inline in ascending
-    // order - the bit-identity reference path.
-    for (std::size_t s = begin; s < end; ++s) {
-      if (counts[s - begin] == 0) continue;
-      DrainEpoch(s, EpochSlot{requests, out, counts[s - begin]});
-    }
-    return;
   }
 
   // Post one epoch ticket per non-empty worker shard. Each ticket touches
@@ -484,55 +442,40 @@ void DecisionService::RunShard(std::size_t shard,
   }
 
   // Advance each session's defaulting state machine over the dense SoA
-  // table (the same core::SafetyObserve the sequential SafetyCore runs),
-  // answering fallback sessions immediately and collecting the rest for
-  // one batched deployed-actor pass (unless the scoring pass already
-  // produced their actions).
+  // table (the same core::SafetyObserveLive the sequential SafetyCore
+  // runs), answering fallback sessions immediately and collecting the
+  // rest for one batched deployed-actor pass (unless the scoring pass
+  // already produced their actions). One lock-free threshold load covers
+  // the whole epoch; without online calibration it is the model's frozen
+  // threshold, exactly what core::SafetyObserve compares against. With
+  // it, each compared statistic also feeds the lane-local sketch (O(1)
+  // marker update, no sharing); publication happens at the epoch cadence
+  // in DrainEpoch, never here.
   const core::SafeAgentConfig& safety = model_->safety();
   const std::span<std::size_t> learned_of = s.arena.Alloc<std::size_t>(count);
   std::size_t learned = 0;
-  if (config_.online_calibration) {
-    // Online-calibration arm: one lock-free threshold load for the whole
-    // epoch, each compared statistic feeds the lane-local sketch (O(1)
-    // marker update, no sharing). Publication happens at the epoch
-    // cadence in DrainEpoch, never here.
-    const double live_alpha = live_alpha_.load(std::memory_order_acquire);
-    for (std::size_t j = 0; j < count; ++j) {
-      const Request& r = requests[idx[j]];
-      const std::size_t local = LocalOf(r.session);
-      double* ring =
-          ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
-      double statistic = -1.0;  // untouched on warm-up steps
-      const bool fallback = core::SafetyObserveLive(
-          safety, table.hot[local], table.cold[local], ring, scores[j],
-          live_alpha, &statistic);
-      if (statistic >= 0.0) {
-        s.sketch.Add(statistic);
-        ++s.calib_observed;
-        if (statistic > live_alpha) ++s.calib_exceeded;
-      }
-      if (fallback) {
-        out[idx[j]] = model_->FallbackAction(*r.state);
-      } else if (!scored_actions.empty()) {
-        out[idx[j]] = scored_actions[j];
-      } else {
-        learned_of[learned++] = j;
-      }
+  const bool calibrating = config_.online_calibration;
+  const double live_alpha = live_alpha_.load(std::memory_order_acquire);
+  for (std::size_t j = 0; j < count; ++j) {
+    const Request& r = requests[idx[j]];
+    const std::size_t local = LocalOf(r.session);
+    double* ring =
+        ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
+    double statistic = -1.0;  // untouched on warm-up steps
+    const bool fallback = core::SafetyObserveLive(
+        safety, table.hot[local], table.cold[local], ring, scores[j],
+        live_alpha, &statistic);
+    if (calibrating && statistic >= 0.0) {
+      s.sketch.Add(statistic);
+      ++s.calib_observed;
+      if (statistic > live_alpha) ++s.calib_exceeded;
     }
-  } else {
-    for (std::size_t j = 0; j < count; ++j) {
-      const Request& r = requests[idx[j]];
-      const std::size_t local = LocalOf(r.session);
-      double* ring =
-          ring_width_ > 0 ? &table.rings[local * ring_width_] : nullptr;
-      if (core::SafetyObserve(safety, table.hot[local], table.cold[local],
-                              ring, scores[j])) {
-        out[idx[j]] = model_->FallbackAction(*r.state);
-      } else if (!scored_actions.empty()) {
-        out[idx[j]] = scored_actions[j];
-      } else {
-        learned_of[learned++] = j;
-      }
+    if (fallback) {
+      out[idx[j]] = model_->FallbackAction(*r.state);
+    } else if (!scored_actions.empty()) {
+      out[idx[j]] = scored_actions[j];
+    } else {
+      learned_of[learned++] = j;
     }
   }
   if (learned > 0) {
@@ -550,38 +493,42 @@ void DecisionService::RunShard(std::size_t shard,
   }
 }
 
-void DecisionService::AccumulateLane(std::size_t shard,
-                                     ServiceMemoryStats& stats) const {
-  const ShardLane& lane = *shards_[shard];
-  const SessionTable& table = lane.sessions;
-  stats.session_slots += table.hot.size();
-  stats.session_hot_bytes += table.hot.capacity() * sizeof(core::SafetyState);
-  stats.session_cold_bytes +=
-      table.cold.capacity() * sizeof(core::SafetyCold);
-  stats.trigger_ring_bytes += table.rings.capacity() * sizeof(double);
-  stats.registry_bytes +=
-      table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
-      table.open.capacity() * sizeof(std::uint8_t) +
-      table.last_round.capacity() * sizeof(std::uint64_t) +
-      lane.free_locals.capacity() * sizeof(std::uint32_t);
-  stats.extractor_bytes += lane.extractors.CapacityBytes();
-  stats.scratch_bytes +=
-      sizeof(ShardLane) + lane.arena.CapacityBytes() +
-      lane.states.values().capacity() * sizeof(double) +
-      lane.features.values().capacity() * sizeof(double) +
-      lane.learned_states.values().capacity() * sizeof(double) +
-      lane.learned_actions.capacity() * sizeof(mdp::Action) +
-      lane.ring.Capacity() * sizeof(std::uint32_t);
+void DecisionService::AccumulateGroup(std::size_t group,
+                                      ServiceMemoryStats& stats) const {
+  const SubmitterGroup& g = groups_[group];
+  // Every fresh id the group handed out is either open or on its free
+  // list, so this count is exact.
+  stats.open_sessions += g.fresh - g.free_ids.size();
+  stats.registry_bytes += g.free_ids.capacity() * sizeof(SessionId);
+  stats.scratch_bytes += g.counts.capacity() * sizeof(std::size_t);
+  for (std::size_t shard = GroupBegin(group); shard < GroupEnd(group);
+       ++shard) {
+    const ShardLane& lane = *shards_[shard];
+    const SessionTable& table = lane.sessions;
+    stats.session_slots += table.hot.size();
+    stats.session_hot_bytes +=
+        table.hot.capacity() * sizeof(core::SafetyState);
+    stats.session_cold_bytes +=
+        table.cold.capacity() * sizeof(core::SafetyCold);
+    stats.trigger_ring_bytes += table.rings.capacity() * sizeof(double);
+    stats.registry_bytes +=
+        table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
+        table.open.capacity() * sizeof(std::uint8_t) +
+        table.last_round.capacity() * sizeof(std::uint64_t);
+    stats.extractor_bytes += lane.extractors.CapacityBytes();
+    stats.scratch_bytes +=
+        sizeof(ShardLane) + lane.arena.CapacityBytes() +
+        lane.states.values().capacity() * sizeof(double) +
+        lane.features.values().capacity() * sizeof(double) +
+        lane.learned_states.values().capacity() * sizeof(double) +
+        lane.learned_actions.capacity() * sizeof(mdp::Action) +
+        lane.ring.Capacity() * sizeof(std::uint32_t);
+  }
 }
 
 ServiceMemoryStats DecisionService::MemoryStats() const {
   ServiceMemoryStats stats;
-  stats.open_sessions = active_count_.load(std::memory_order_relaxed);
-  stats.registry_bytes = free_ids_.capacity() * sizeof(SessionId);
-  for (std::size_t s = 0; s < shards_.size(); ++s) AccumulateLane(s, stats);
-  for (const auto& counts : group_counts_) {
-    stats.scratch_bytes += counts.capacity() * sizeof(std::size_t);
-  }
+  for (std::size_t g = 0; g < groups_.size(); ++g) AccumulateGroup(g, stats);
   // Online-calibration writer side (per-lane sketches are members of
   // ShardLane and already inside its sizeof).
   stats.scratch_bytes +=
@@ -592,23 +539,9 @@ ServiceMemoryStats DecisionService::MemoryStats() const {
 
 ServiceMemoryStats DecisionService::MemoryStatsOfGroup(
     std::size_t group) const {
-  OSAP_REQUIRE(group < config_.submitter_count,
-               "MemoryStatsOfGroup: bad group");
+  OSAP_REQUIRE(group < groups_.size(), "MemoryStatsOfGroup: bad group");
   ServiceMemoryStats stats;
-  for (std::size_t s = GroupBegin(group); s < GroupEnd(group); ++s) {
-    AccumulateLane(s, stats);
-    if (config_.submitter_count > 1) {
-      // Open = ever-grown slots minus the shard's free list (exact: local
-      // slots only exist once opened). The single-submitter group keeps
-      // its free list globally, so fall through to active_count_ below.
-      stats.open_sessions += shards_[s]->sessions.hot.size() -
-                             shards_[s]->free_locals.size();
-    }
-  }
-  if (config_.submitter_count == 1) {
-    stats.open_sessions = active_count_.load(std::memory_order_relaxed);
-  }
-  stats.scratch_bytes += group_counts_[group].capacity() * sizeof(std::size_t);
+  AccumulateGroup(group, stats);
   return stats;
 }
 

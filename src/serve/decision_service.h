@@ -32,16 +32,23 @@
 //
 // Submitter groups (DecisionServiceConfig::submitter_count, the sharded
 // submit path behind the multi-edge network server): the shard range is
-// partitioned into submitter_count contiguous groups and every piece of
-// per-session state - the SoA tables, open flags, duplicate-round stamps,
-// free lists - lives inside its shard's lane, so group g's submitter can
-// open / close / DecideBatchGroup its own shards while the other groups'
-// submitters do the same concurrently, with no shared mutable state
-// between them (the global round counter and active-session count are
-// single atomics). Each lane still has exactly ONE submitter, so the
-// SPSC rings and epoch tickets need no extra locking. submitter_count = 1
-// (the default) is byte-for-byte the single-submitter service described
-// above.
+// partitioned into submitter_count contiguous groups. Every piece of
+// per-session state - the SoA tables, open flags, duplicate-round stamps -
+// lives inside its shard's lane, and each group owns its session-id
+// allocator, so group g's submitter can open / close / DecideBatch its
+// own shards while the other groups' submitters do the same concurrently,
+// with no shared mutable state between them (the global round counter
+// and active-session count are single atomics). Each lane still has
+// exactly ONE submitter, so the SPSC rings and epoch tickets need no
+// extra locking. The default (one group) is simply the single-submitter
+// case of the same path.
+//
+// Session ids: each group hands out fresh ids from one counter c,
+// striped over its shards (shard GroupBegin + c % width, local slot
+// c / width), and recycles closed ids most recently closed first. With
+// one group the id IS c, so ids run 0, 1, 2, ... regardless of
+// shard_count; with several groups every id routes to its group's
+// shards (edge-affine ids for the network server).
 //
 // Per-session state is on a strict memory budget (ROADMAP: a million
 // concurrent sessions must fit). Each shard keeps its sessions in a
@@ -58,20 +65,21 @@
 // Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
 // persists across calls, so the steady state is allocation-free; after a
 // population spike, lanes shrink scratch back to the recent working set
-// (DecisionServiceConfig::lane_shrink_after). The throughput win over the
+// (every kLaneShrinkAfter epochs). The throughput win over the
 // one-session-at-a-time loop comes from weight de-duplication - N
 // sequential sessions stream N private ~100 KB weight packs through the
 // cache hierarchy per round, the service streams ONE shared pack per
 // shard batch - plus shard parallelism on multi-core hosts.
 //
 // Thread-safety: the service synchronizes its own workers; each submitter
-// GROUP is externally synchronized - do not call Open*/Close/DecideBatch*
-// for the same group from multiple threads. Different groups may run
-// concurrently. Open/CloseSession between a group's DecideBatch calls is
-// safe (its workers are parked); the epoch ticket's release/acquire edge
-// publishes the membership change to the worker that owns the session's
-// shard. MemoryStats() walks every lane and requires ALL groups quiescent;
-// MemoryStatsOfGroup() needs only its own group parked.
+// GROUP is externally synchronized - do not call OpenSession /
+// CloseSession / DecideBatch for the same group from multiple threads.
+// Different groups may run concurrently. Open/CloseSession between a
+// group's DecideBatch calls is safe (its workers are parked); the epoch
+// ticket's release/acquire edge publishes the membership change to the
+// worker that owns the session's shard. MemoryStats() walks every lane
+// and requires ALL groups quiescent; MemoryStatsOfGroup() needs only its
+// own group parked.
 #pragma once
 
 #include <atomic>
@@ -100,29 +108,18 @@ namespace osap::serve {
 
 struct DecisionServiceConfig {
   /// Shards sessions are distributed over; each shard is one batched unit
-  /// of work per DecideBatch call. Must be >= 1.
+  /// of work per DecideBatch call. Must be >= 1. Every shard that is not
+  /// the first of its submitter group gets one persistent worker thread;
+  /// the first shard of each group runs on the submitting thread, so
+  /// shard_count = submitter_count (e.g. the default 1) spawns none.
   std::size_t shard_count = 1;
-  /// Spawn one persistent worker thread per shard that is not the first
-  /// of its submitter group (the first shard of each group always runs on
-  /// the submitting thread, so shard_count = submitter_count never
-  /// spawns). false runs every shard of a group inline on its submitter -
-  /// the serial reference arm for the equivalence tests, and the right
-  /// choice when the host dedicates a single core to the service.
-  bool shard_workers = true;
   /// Concurrent submitter groups (must be in [1, shard_count]). The
   /// shards are split into this many contiguous groups; group g may be
-  /// driven by its own thread via OpenSessionOnShard / DecideBatchGroup
-  /// concurrently with the other groups. 1 = the classic single-submitter
-  /// service (OpenSession / DecideBatch).
+  /// driven by its own thread via OpenSession(g) / DecideBatch(..., g)
+  /// concurrently with the other groups.
   std::size_t submitter_count = 1;
   /// Sessions per slab in the per-shard extractor pool (U_S only).
   std::size_t extractor_slab_slots = 256;
-  /// Scratch shrink cadence: every lane_shrink_after epochs a shard lane
-  /// compares its scratch capacity (arena + packed matrices) against the
-  /// high-water use of the elapsed period and releases anything more than
-  /// 2x the recent need, so a population spike does not pin its peak
-  /// forever. 0 disables shrinking.
-  std::size_t lane_shrink_after = 64;
   /// Hard per-lane SPSC-ring ceiling (util::SpscRing::SetBound); 0 keeps
   /// the rings unbounded (Reserve grows on demand). The network edge sets
   /// this to its admission high-water mark so an admission bug fails
@@ -197,41 +194,33 @@ class DecisionService {
   ~DecisionService();
 
   /// Registers a new session (fresh defaulting state / novelty window)
-  /// and returns its id. Ids of closed sessions are recycled (most
-  /// recently closed first). Single-submitter services only; with
-  /// submitter groups use OpenSessionOnShard so each group touches only
-  /// its own shards.
-  SessionId OpenSession();
+  /// on one of `group`'s shards and returns its id. The group's closed
+  /// ids are recycled first (most recently closed first); fresh ids
+  /// stripe over the group's shards. Only the group's submitter may call
+  /// this.
+  SessionId OpenSession(std::size_t group = 0);
 
-  /// Registers a new session pinned to `shard` (the sharded open path for
-  /// submitter groups; requires submitter_count > 1). Only the group that
-  /// owns `shard` may call this, from its one submitting thread.
-  SessionId OpenSessionOnShard(std::size_t shard);
-
-  /// Tears a session down; its id becomes invalid until recycled. With
-  /// submitter groups, only the owning group's submitter may close it.
+  /// Tears a session down; its id becomes invalid until its group
+  /// recycles it. Only the owning group's submitter may close it.
   void CloseSession(SessionId id);
 
-  /// Answers one decision per request. Each session may appear at most
-  /// once per call (a session's next state depends on its previous
-  /// action, so two requests for one session in one batch would be
-  /// ill-defined). out[i] answers requests[i].
+  /// Answers one decision per request for submitter `group`: every
+  /// request's session must live on one of the group's shards. Each
+  /// session may appear at most once per call (a session's next state
+  /// depends on its previous action, so two requests for one session in
+  /// one batch would be ill-defined). out[i] answers requests[i].
+  /// Distinct groups may call this concurrently; within a group, calls
+  /// are externally synchronized.
   void DecideBatch(std::span<const Request> requests,
-                   std::span<mdp::Action> out);
-
-  /// DecideBatch for one submitter group: every request's session must
-  /// live on one of the group's shards. Distinct groups may call this
-  /// concurrently; within a group, calls are externally synchronized.
-  void DecideBatchGroup(std::size_t group, std::span<const Request> requests,
-                        std::span<mdp::Action> out);
+                   std::span<mdp::Action> out, std::size_t group = 0);
 
   /// Single-session convenience wrapper around DecideBatch.
   mdp::Action Decide(SessionId id, const mdp::State& state);
 
   const ServingModel& model() const { return *model_; }
   std::size_t ShardCount() const { return shards_.size(); }
-  /// Worker threads currently parked on shard lanes (shard_count -
-  /// submitter_count when shard_workers, else 0).
+  /// Worker threads parked on shard lanes (shard_count -
+  /// submitter_count).
   std::size_t WorkerCount() const { return workers_.size(); }
   std::size_t ActiveSessionCount() const {
     return active_count_.load(std::memory_order_relaxed);
@@ -287,9 +276,10 @@ class DecisionService {
   /// Call only while EVERY submitter group is parked (walks all lanes).
   ServiceMemoryStats MemoryStats() const;
 
-  /// The same accounting restricted to one group's shards (its share of
-  /// the session tables, extractors, and scratch). Safe while OTHER
-  /// groups run - it reads nothing outside the group's lanes.
+  /// The same accounting restricted to one group's shards and id
+  /// allocator (its share of the session tables, extractors, and
+  /// scratch). Safe while OTHER groups run - it reads nothing outside
+  /// the group's own state.
   ServiceMemoryStats MemoryStatsOfGroup(std::size_t group) const;
 
   /// Adds the same accounting to `meter` under "session.hot",
@@ -325,10 +315,9 @@ class DecisionService {
 
   /// Per-shard lane: the shard's session table and extractor pool plus
   /// scratch that persists across DecideBatch calls plus (for shards
-  /// that are not the first of their group, under shard_workers) the
-  /// handoff state its pinned worker drains. unique_ptr in shards_
-  /// because the arena and the synchronization members are pinned in
-  /// place (non-movable).
+  /// that are not the first of their group) the handoff state its pinned
+  /// worker drains. unique_ptr in shards_ because the arena and the
+  /// synchronization members are pinned in place (non-movable).
   struct ShardLane {
     ShardLane(std::size_t slab_slots, std::size_t scratch_doubles)
         : extractors(slab_slots, scratch_doubles) {}
@@ -336,10 +325,6 @@ class DecisionService {
     // --- session state owned by this shard ---
     SessionTable sessions;
     ExtractorPool extractors;  // U_S per-session extractors
-    /// Recycled local slots (multi-submitter opens; the single-submitter
-    /// path keeps its LIFO in the service-wide free_ids_ instead so id
-    /// recycling order matches the classic service exactly).
-    std::vector<std::uint32_t> free_locals;
 
     // --- online calibration (owned by whichever thread runs the shard) ---
     util::WindowedP2Quantile sketch;  // trigger statistics, local
@@ -368,26 +353,40 @@ class DecisionService {
     bool stop = false;
   };
 
+  /// Per-group state, touched only by the group's submitter: the
+  /// session-id allocator and the routing scratch of its current round.
+  struct SubmitterGroup {
+    std::vector<SessionId> free_ids;  // closed ids, most recent last
+    std::size_t fresh = 0;            // fresh ids handed out so far
+    /// counts[s - GroupBegin] = requests routed to shard s this round.
+    std::vector<std::size_t> counts;
+  };
+
+  /// Epochs between two scratch-shrink checks of a lane (see
+  /// MaybeShrinkLane).
+  static constexpr std::size_t kLaneShrinkAfter = 64;
+
   void WorkerLoop(std::size_t shard);
   /// Pops `slot.count` request indices off the shard's ring into arena
   /// storage and runs the shard on them. Runs on the shard's worker (or
-  /// the group's submitter, for group-first shards / serial mode).
+  /// the group's submitter, for group-first shards).
   void DrainEpoch(std::size_t shard, const EpochSlot& slot);
   /// Scores and answers one shard's slice of the round. `idx` lists the
   /// shard's request indices in caller order.
   void RunShard(std::size_t shard, std::span<const Request> requests,
                 std::span<mdp::Action> out, std::span<const std::size_t> idx);
   /// Periodic scratch diet: tracks the lane's high-water use and, every
-  /// lane_shrink_after epochs, releases arena blocks / packed matrices
-  /// beyond 2x the recent need. Runs on the lane's owning thread at the
-  /// end of DrainEpoch.
+  /// kLaneShrinkAfter epochs, releases arena blocks / packed matrices
+  /// beyond 2x the recent need, so a population spike does not pin its
+  /// peak forever. Runs on the lane's owning thread at the end of
+  /// DrainEpoch.
   void MaybeShrinkLane(ShardLane& lane, std::size_t count);
   /// Publishes lane `shard`'s sketch + coverage deltas into the shared
   /// snapshot (writer mutex) and re-derives the merged live threshold.
   /// Called from the lane's owning thread at the refresh cadence.
   void PublishCalibration(std::size_t shard);
   /// Initializes slot `local` of `shard` as a fresh session and returns
-  /// its id (shared tail of both open paths).
+  /// its id.
   SessionId InitSession(std::size_t shard, std::size_t local);
   std::size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   std::size_t LocalOf(SessionId id) const { return id / shards_.size(); }
@@ -397,30 +396,19 @@ class DecisionService {
     return local < table.open.size() && table.open[local] != 0;
   }
   void CheckOpen(SessionId id) const;
-  /// Accumulates lane `shard`'s containers into `stats`.
-  void AccumulateLane(std::size_t shard, ServiceMemoryStats& stats) const;
+  /// Accumulates group `group`'s lanes and allocator into `stats`.
+  void AccumulateGroup(std::size_t group, ServiceMemoryStats& stats) const;
 
   std::shared_ptr<const ServingModel> model_;
   DecisionServiceConfig config_;
   std::vector<std::unique_ptr<ShardLane>> shards_;
   std::vector<std::thread> workers_;
   std::vector<std::size_t> worker_shards_;  // shard drained by workers_[i]
-
-  // Single-submitter id allocation (OpenSession): LIFO recycling across
-  // all shards plus a sequential high-water counter - the classic
-  // allocation order the recycling tests pin. Multi-submitter services
-  // allocate per shard (ShardLane::free_locals) instead and leave these
-  // untouched.
-  std::vector<SessionId> free_ids_;
-  SessionId next_id_ = 0;
+  std::vector<SubmitterGroup> groups_;
 
   std::atomic<std::size_t> active_count_{0};
   std::size_t ring_width_ = 0;        // trigger-ring doubles per session
   std::size_t extractor_doubles_ = 0;  // slab scratch per U_S session
-  /// Per-group routing scratch: group_counts_[g][s - GroupBegin(g)] is
-  /// the per-shard request count of group g's current round. Separate
-  /// allocations per group, so concurrent rounds never share storage.
-  std::vector<std::vector<std::size_t>> group_counts_;
   std::atomic<std::uint64_t> round_{0};
 
   // --- online calibration (DESIGN.md §11) ---

@@ -2,8 +2,7 @@
 // the nn batched-inference / backward kernels and the svm batched OC-SVM
 // decision scan. It lives in util so that svm (which, per the CMake
 // layering, must not depend on nn) can share one dispatch decision with
-// the nn kernels; nn/simd.h re-exports these names into osap::nn for the
-// existing call sites.
+// the nn kernels.
 //
 // All AVX2 kernels in this codebase are bit-identical to their scalar
 // counterparts by construction (no FMA, every output element keeps its own

@@ -109,7 +109,6 @@ TEST_P(NetMultiEdge, TcpNodelaySetOnBothEndsOfAConnection) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -136,7 +135,6 @@ TEST_P(NetMultiEdge, GracefulShutdownAnswersPipelinedBurstBeforeEof) {
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   NetServer server(model, cfg);
   server.Start();
   std::thread loop([&server] { server.Run(); });
@@ -185,7 +183,6 @@ TEST_P(NetMultiEdge, StatsAggregateExactlyAcrossEdges) {
   cfg.lane_high_water = 1;  // one admitted STEP per lane per burst
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   ASSERT_EQ(server.server().EdgeCount(), 2u);
 

@@ -63,7 +63,6 @@ TEST_P(NetSmoke, ConcurrentClientsWithSessionChurn) {
   cfg.max_in_flight = 16;
   cfg.lane_high_water = 8;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;  // single-core host: keep it lean
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kClients = 3;
@@ -136,7 +135,6 @@ TEST_P(NetSmoke, AbruptDisconnectReapsSessions) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client survivor;
@@ -180,7 +178,6 @@ TEST_P(NetSmoke, MultiEdgeFloodAccountsEveryReply) {
   cfg.lane_high_water = 2;
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 4;
-  cfg.service.shard_workers = false;  // edges are the parallelism here
   ServerRunner server(model, cfg);
 
   constexpr std::size_t kThreads = 4;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -161,6 +162,37 @@ TEST(Protocol, StatsReplyRoundTripCarriesPayload) {
   EXPECT_EQ(back_stats.calibration_observed, 4000u);
   EXPECT_EQ(back_stats.calibration_exceeded, 200u);
   EXPECT_DOUBLE_EQ(back_stats.EmpiricalMiscoverage(), 0.05);
+}
+
+// Appending frames to one growing buffer (the client's pipelined send
+// buffer) must keep the vector's geometric growth: capacity changes grow
+// with log(N), not N. An exact-size reserve per frame would reallocate
+// and copy the whole buffer on every append - O(N^2) bytes moved.
+TEST(Protocol, AppendingManyFramesGrowsGeometrically) {
+  constexpr std::size_t kFrames = 10000;
+  const std::vector<double> state(25, 0.5);
+  RequestHeader header;
+  header.type = MsgType::kStep;
+  Reply reply;
+  reply.type = MsgType::kStep;
+  std::vector<std::uint8_t> requests;
+  std::vector<std::uint8_t> replies;
+  std::size_t request_growths = 0;
+  std::size_t reply_growths = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    header.request_id = i;
+    reply.request_id = i;
+    const std::size_t request_cap = requests.capacity();
+    const std::size_t reply_cap = replies.capacity();
+    AppendRequestFrame(requests, header, state);
+    AppendReplyFrame(replies, reply);
+    request_growths += requests.capacity() != request_cap;
+    reply_growths += replies.capacity() != reply_cap;
+  }
+  ASSERT_EQ(requests.size(), kFrames * StepFrameBytes(state.size()));
+  // Doubling from one byte reaches N bytes in about log2(N) steps.
+  EXPECT_LE(request_growths, 2 * std::bit_width(requests.size()));
+  EXPECT_LE(reply_growths, 2 * std::bit_width(replies.size()));
 }
 
 // The exact bytes of a STEP request are pinned here so an accidental

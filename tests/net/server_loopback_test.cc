@@ -72,13 +72,11 @@ struct SessionRun {
 };
 
 /// Reference arm: each trace runs alone through an in-process
-/// DecisionService (serial config), start to finish.
+/// single-shard DecisionService (serial by construction), start to
+/// finish.
 std::vector<SessionRun> RunInProcess(
     const NetWorld& w, std::shared_ptr<const serve::ServingModel> model) {
-  serve::DecisionServiceConfig cfg;
-  cfg.shard_count = 2;
-  cfg.shard_workers = false;
-  serve::DecisionService service(model, cfg);
+  serve::DecisionService service(model);
   std::vector<SessionRun> runs;
   for (const traces::Trace& trace : w.traces) {
     SessionRun run;
@@ -169,27 +167,34 @@ TEST_P(NetServerLoopback, DecisionsAreBitIdenticalToInProcessService) {
     const auto model =
         NetModelFor(w, signal, core::DefaultingMode::kPermanent);
     const std::vector<SessionRun> reference = RunInProcess(w, model);
-
-    NetServerConfig cfg = Cfg();
-    cfg.service.shard_count = 2;
-    cfg.service.shard_workers = false;  // single-core test host
-    ServerRunner server(model, cfg);
-    const std::vector<SessionRun> wire = RunOverWire(w, server.Port());
-
-    ASSERT_EQ(wire.size(), reference.size());
     std::size_t defaulted_steps = 0, learned_steps = 0;
-    for (std::size_t i = 0; i < wire.size(); ++i) {
-      EXPECT_EQ(wire[i].actions, reference[i].actions)
-          << "session " << i << " diverged over the wire";
-      EXPECT_EQ(wire[i].defaulted, reference[i].defaulted)
-          << "session " << i << " defaulted flags diverged";
-      for (char d : reference[i].defaulted) (d ? defaulted_steps
-                                               : learned_steps)++;
+    for (const SessionRun& run : reference) {
+      for (char d : run.defaulted) (d ? defaulted_steps : learned_steps)++;
     }
     // The comparison only means something if both decision paths ran:
     // some steps defaulted to the fallback, some used the learned actor.
     EXPECT_GT(defaulted_steps, 0u);
     EXPECT_GT(learned_steps, 0u);
+
+    // One edge and four edges, two lanes per edge so every edge's second
+    // lane runs on its shard worker (the connection lands on whichever
+    // edge the kernel's hash picks; its sessions stay on that edge).
+    for (const std::size_t edges : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("edge_threads " + std::to_string(edges));
+      NetServerConfig cfg = Cfg();
+      cfg.edge_threads = edges;
+      cfg.service.shard_count = 2 * edges;
+      ServerRunner server(model, cfg);
+      const std::vector<SessionRun> wire = RunOverWire(w, server.Port());
+
+      ASSERT_EQ(wire.size(), reference.size());
+      for (std::size_t i = 0; i < wire.size(); ++i) {
+        EXPECT_EQ(wire[i].actions, reference[i].actions)
+            << "session " << i << " diverged over the wire";
+        EXPECT_EQ(wire[i].defaulted, reference[i].defaulted)
+            << "session " << i << " defaulted flags diverged";
+      }
+    }
   }
 }
 
@@ -198,7 +203,6 @@ TEST_P(NetServerLoopback, ReplyEpochsAreMonotonic) {
   const auto model = NetModelFor(w, serve::Signal::kAgentEnsemble,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   Client client;
   client.Connect("127.0.0.1", server.Port());
@@ -230,7 +234,6 @@ TEST_P(NetServerLoopback, FloodPastInFlightCapGetsBusyNotDropped) {
   cfg.lane_high_water = 4;  // rings bounded to 4: deeper = loud abort
   cfg.pause_reads_above = 0;  // keep reading so BUSY is immediate
   cfg.service.shard_count = 1;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -290,7 +293,6 @@ TEST_P(NetServerLoopback, LaneHighWaterMarkRejectsPerShard) {
   cfg.lane_high_water = 2;
   cfg.pause_reads_above = 0;
   cfg.service.shard_count = 2;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -328,7 +330,6 @@ TEST_P(NetServerLoopback, OpenPastMaxSessionsGetsFull) {
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
   cfg.max_sessions = 3;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -353,7 +354,6 @@ TEST_P(NetServerLoopback, BogusRequestsGetErrorRepliesNotSilence) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -391,7 +391,6 @@ TEST_P(NetServerLoopback, CloseOvertakingPipelinedStepsAnswersEverything) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -436,7 +435,6 @@ TEST_P(NetServerLoopback, StatsReflectServiceState) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   Client client;
@@ -473,7 +471,6 @@ TEST_P(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   const auto model = NetModelFor(w, serve::Signal::kNovelty,
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg = Cfg();
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
 
   std::vector<double> state(model->InputSize(), 0.4);
@@ -518,7 +515,6 @@ TEST(NetServerBackend, UringRequestFallsBackWhenUnavailable) {
                                  core::DefaultingMode::kPermanent);
   NetServerConfig cfg;
   cfg.backend = BackendKind::kUring;
-  cfg.service.shard_workers = false;
   ServerRunner server(model, cfg);
   const BackendKind expected = UringBackendAvailable()
                                    ? BackendKind::kUring

@@ -13,8 +13,8 @@
 
 #include "gtest/gtest.h"
 #include "nn/matrix.h"
-#include "nn/simd.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace osap::nn {
 namespace {
@@ -105,12 +105,12 @@ TEST(MatrixKernelTest, NTRejectsMismatchedCols) {
 // the OSAP_NO_AVX2 env override that flips it) may only ever change speed.
 class SimdDispatchTest : public ::testing::Test {
  protected:
-  void TearDown() override { ResetSimdForTest(); }
+  void TearDown() override { util::ResetSimdForTest(); }
 };
 
 TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
-  ForceSimdForTest(true);
-  if (!UseAvx2()) GTEST_SKIP() << "CPU lacks AVX2; single-path machine";
+  util::ForceSimdForTest(true);
+  if (!util::UseAvx2()) GTEST_SKIP() << "CPU lacks AVX2; single-path machine";
 
   Rng rng(0xBEEF04);
   for (const Shape& s : kShapes) {
@@ -119,8 +119,8 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     const Matrix w = RandomMatrix(s.m, s.n, rng);
     const Matrix seed = RandomMatrix(s.m, s.n, rng);
 
-    ForceSimdForTest(false);
-    ASSERT_FALSE(UseAvx2());
+    util::ForceSimdForTest(false);
+    ASSERT_FALSE(util::UseAvx2());
     Matrix nn_s;
     x.Transposed().MatMulInto(dy, nn_s);  // plain NN product, scalar
     Matrix tn_s;
@@ -130,8 +130,8 @@ TEST_F(SimdDispatchTest, ScalarAndAvx2PathsAgreeBitForBit) {
     Matrix nt_s;
     dy.MatMulNTInto(w, nt_s);
 
-    ForceSimdForTest(true);
-    ASSERT_TRUE(UseAvx2());
+    util::ForceSimdForTest(true);
+    ASSERT_TRUE(util::UseAvx2());
     Matrix nn_v;
     x.Transposed().MatMulInto(dy, nn_v);
     Matrix tn_v;

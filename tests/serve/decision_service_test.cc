@@ -295,22 +295,18 @@ class DecisionServiceEquivalence
           std::tuple<Signal, core::DefaultingMode>> {};
 
 TEST_P(DecisionServiceEquivalence, MatchesSequentialSafeAgent) {
-  // Serial arm: every shard runs inline on the calling thread.
+  // The single-core configuration: one shard, no workers, every
+  // decision on the calling thread.
   const auto [signal, mode] = GetParam();
-  DecisionServiceConfig config;
-  config.shard_count = 3;
-  config.shard_workers = false;
-  ExpectBitIdentical(SharedWorld(), signal, mode, config);
+  ExpectBitIdentical(SharedWorld(), signal, mode, DecisionServiceConfig{});
 }
 
 TEST_P(DecisionServiceEquivalence, MatchesWithPersistentWorkers) {
   // Same property with shards 1..3 on their persistent pinned workers,
   // fed through the per-shard rings and epoch tickets.
   const auto [signal, mode] = GetParam();
-  DecisionServiceConfig config;
-  config.shard_count = 4;
-  config.shard_workers = true;
-  ExpectBitIdentical(SharedWorld(), signal, mode, config);
+  ExpectBitIdentical(SharedWorld(), signal, mode,
+                     DecisionServiceConfig{.shard_count = 4});
 }
 
 std::string ParamName(

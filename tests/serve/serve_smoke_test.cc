@@ -2,15 +2,15 @@
 //
 // Runs mixed in-distribution / out-of-distribution viewers through a
 // 4-shard service whose shards 1..3 live on persistent worker threads
-// (epoch-ticket handoff) and checks the answers against a serial service
-// (shard_workers = false) round for round. A second scenario churns the
-// session set - viewers joining and leaving between epochs - while the
-// workers stay parked, exercising the claim that the epoch ticket's
-// release/acquire edge publishes membership changes to the worker that
-// owns the session's shard. Built into its own binary so the sanitize
-// ctest label can select it; under TSan this exercises the claim that
-// shards touch disjoint sessions and output slots and that the ring/
-// ticket handoff is properly ordered.
+// (epoch-ticket handoff) and checks the answers against a single-shard
+// service (serial by construction: no workers) round for round. A second
+// scenario churns the session set - viewers joining and leaving between
+// epochs - while the workers stay parked, exercising the claim that the
+// epoch ticket's release/acquire edge publishes membership changes to
+// the worker that owns the session's shard. Built into its own binary so
+// the sanitize ctest label can select it; under TSan this exercises the
+// claim that shards touch disjoint sessions and output slots and that the
+// ring/ticket handoff is properly ordered.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -86,18 +86,14 @@ std::shared_ptr<const ServingModel> SmokeModel(const SmokeWorld& w,
 }
 
 /// Drives the worker-backed and serial services in lockstep over the same
-/// closed-loop sessions and compares every answer.
+/// closed-loop sessions and compares every answer. Both have one
+/// submitter group, so their session ids agree (id = open order).
 void RunSmoke(const SmokeWorld& w, Signal signal) {
-  DecisionServiceConfig parallel_config;
-  parallel_config.shard_count = 4;
-  parallel_config.shard_workers = true;
-  DecisionService parallel(SmokeModel(w, signal), parallel_config);
+  DecisionService parallel(SmokeModel(w, signal),
+                           DecisionServiceConfig{.shard_count = 4});
   ASSERT_EQ(parallel.WorkerCount(), 3u);
 
-  DecisionServiceConfig serial_config;
-  serial_config.shard_count = 4;
-  serial_config.shard_workers = false;  // all shards on the calling thread
-  DecisionService serial(SmokeModel(w, signal), serial_config);
+  DecisionService serial(SmokeModel(w, signal));  // one shard, no workers
   ASSERT_EQ(serial.WorkerCount(), 0u);
 
   std::vector<DecisionService::SessionId> ids(kSessions);
@@ -161,14 +157,9 @@ TEST(ServeSmoke, AgentEnsembleShardsRaceFree) {
 /// service performing the identical churn.
 TEST(ServeSmoke, SessionChurnAcrossEpochs) {
   const SmokeWorld w = MakeSmokeWorld();
-  DecisionServiceConfig parallel_config;
-  parallel_config.shard_count = 4;
-  parallel_config.shard_workers = true;
-  DecisionService parallel(SmokeModel(w, Signal::kNovelty), parallel_config);
-  DecisionServiceConfig serial_config;
-  serial_config.shard_count = 4;
-  serial_config.shard_workers = false;
-  DecisionService serial(SmokeModel(w, Signal::kNovelty), serial_config);
+  DecisionService parallel(SmokeModel(w, Signal::kNovelty),
+                           DecisionServiceConfig{.shard_count = 4});
+  DecisionService serial(SmokeModel(w, Signal::kNovelty));
 
   // One live viewer per id; churn keeps both services' id assignments in
   // lockstep so the comparison stays exact.

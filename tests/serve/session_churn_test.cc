@@ -9,6 +9,8 @@
 //   - the slot registry is bounded by the peak live population, not the
 //     total number of sessions ever opened, and
 //   - extractor slabs are trimmed once a population spike recedes.
+// A second case drives two submitter groups from two threads at once
+// (the multi-edge server's submit path) against the same mirrors.
 // Rides in the serve_smoke_tests binary so `ctest -L sanitize` runs it
 // under TSan (epoch-ticket handoff) and ASan (slab lifetime).
 #include <gtest/gtest.h>
@@ -16,12 +18,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "abr/video.h"
 #include "core/novelty_detector.h"
 #include "core/safety_core.h"
+#include "nn/matrix.h"
 #include "policies/pensieve_net.h"
 #include "serve/decision_service.h"
 #include "serve/serving_model.h"
@@ -82,7 +86,6 @@ TEST(SessionChurnAtScale, TenThousandRecyclesMatchFreshMirrors) {
       ServingModel::Novelty(w.agents, w.novelty, w.video, w.layout, w.safety);
   DecisionServiceConfig config;
   config.shard_count = 4;
-  config.shard_workers = true;
   config.extractor_slab_slots = 64;  // several slabs per shard at peak
   DecisionService service(model, config);
 
@@ -181,6 +184,110 @@ TEST(SessionChurnAtScale, TenThousandRecyclesMatchFreshMirrors) {
   EXPECT_EQ(drained.open_sessions, 0u);
   EXPECT_LT(drained.extractor_bytes, extractor_peak / 4)
       << "wholly free slabs must be trimmed after a mass close";
+}
+
+// Two submitter groups (shards {0,1} and {2,3}), each driven by its own
+// thread concurrently with the other, both with live churn:
+//   - every decision (action, defaulted flag, step count) equals a
+//     per-session sequential mirror's,
+//   - a close followed by an open recycles the id within its own group,
+//   - every id the group opens routes to one of the group's shards, and
+//   - per-group open counts sum to ActiveSessionCount().
+TEST(SubmitterGroups, ConcurrentGroupsMatchMirrorsAndKeepIdsInGroup) {
+  const ChurnWorld w = MakeChurnWorld();
+  const auto model =
+      ServingModel::Novelty(w.agents, w.novelty, w.video, w.layout, w.safety);
+  DecisionService service(
+      model, DecisionServiceConfig{.shard_count = 4, .submitter_count = 2});
+  ASSERT_EQ(service.SubmitterCount(), 2u);
+  ASSERT_EQ(service.WorkerCount(), 2u);  // shards 1 and 3
+
+  constexpr std::size_t kGroups = 2;
+  constexpr std::size_t kPopulation = 24;
+  constexpr std::size_t kRounds = 30;
+  std::vector<std::size_t> live_count(kGroups, 0);
+
+  const auto drive = [&](std::size_t group) {
+    struct Live {
+      DecisionService::SessionId id = 0;
+      std::unique_ptr<Mirror> mirror;
+      double mean_mbps = 0.0;
+    };
+    std::vector<Live> live;
+    Rng rng(31 + group);
+    std::size_t opened = 0;
+    const auto join = [&] {
+      Live v;
+      v.id = service.OpenSession(group);
+      EXPECT_EQ(service.GroupOfShard(service.ShardOfSession(v.id)), group)
+          << "id " << v.id << " routed outside its group";
+      EXPECT_EQ(service.StepCount(v.id), 0u);
+      v.mirror = std::make_unique<Mirror>(w);
+      v.mean_mbps = opened++ % 2 == 0 ? 1.0 : 40.0;
+      live.push_back(std::move(v));
+    };
+    for (std::size_t i = 0; i < kPopulation; ++i) join();
+
+    std::vector<mdp::State> states;
+    std::vector<DecisionService::Request> requests;
+    std::vector<mdp::Action> out;
+    nn::Matrix row;
+    mdp::Action greedy[1];
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      if (round % 3 == 2) {
+        // Close-then-open hands the same id back, still in this group.
+        const std::size_t leaver = rng.UniformInt(live.size());
+        const DecisionService::SessionId closed = live[leaver].id;
+        service.CloseSession(closed);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(leaver));
+        join();
+        EXPECT_EQ(live.back().id, closed) << "group " << group;
+      }
+      states.assign(live.size(), mdp::State(w.layout.Size(), 0.0));
+      requests.clear();
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const double mbps =
+            std::max(0.05, rng.Normal(live[i].mean_mbps, 0.2));
+        states[i][w.layout.ThroughputBegin() + w.layout.history - 1] =
+            mbps / abr::AbrStateLayout::kThroughputNormMbps;
+        states[i][w.layout.BufferIndex()] = 0.1 * static_cast<double>(i % 8);
+        requests.push_back({live[i].id, &states[i]});
+      }
+      out.resize(requests.size());
+      service.DecideBatch(requests, out, group);
+
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        Mirror& m = *live[i].mirror;
+        m.safety.Observe(m.detector.Score(states[i]));
+        mdp::Action expected = 0;
+        if (m.safety.Defaulted()) {
+          expected = model->FallbackAction(states[i]);
+        } else {
+          row.ReshapeUninitialized(1, states[i].size());
+          std::copy(states[i].begin(), states[i].end(), row.Row(0).begin());
+          model->GreedyActions(row, greedy);
+          expected = greedy[0];
+        }
+        ASSERT_EQ(out[i], expected)
+            << "group " << group << " round " << round << " viewer " << i;
+        ASSERT_EQ(service.Defaulted(live[i].id), m.safety.Defaulted());
+        ASSERT_EQ(service.StepCount(live[i].id), m.safety.StepCount());
+      }
+    }
+    live_count[group] = live.size();
+  };
+  std::thread second(drive, 1);
+  drive(0);
+  second.join();
+
+  std::size_t open_sum = 0;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    const std::size_t open = service.MemoryStatsOfGroup(g).open_sessions;
+    EXPECT_EQ(open, live_count[g]) << "group " << g;
+    open_sum += open;
+  }
+  EXPECT_EQ(open_sum, service.ActiveSessionCount());
+  EXPECT_EQ(service.MemoryStats().open_sessions, open_sum);
 }
 
 }  // namespace

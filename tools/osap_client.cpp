@@ -450,6 +450,7 @@ int main(int argc, char** argv) {
       res.open_sessions = viewers.size();
       res.latency_us.reserve(local_count * rounds);
       std::vector<std::uint64_t> request_of(viewers.size());
+      std::vector<std::size_t> finished;  // viewers whose video ended
       try {
         for (std::size_t round = 0; round < rounds; ++round) {
           const auto scheduled =
@@ -465,6 +466,7 @@ int main(int argc, char** argv) {
                             viewers[v].state);
           }
           client.Flush();
+          finished.clear();
           for (std::size_t v = 0; v < viewers.size(); ++v) {
             net::Reply reply;
             if (!client.ReadReply(reply)) {
@@ -480,7 +482,8 @@ int main(int argc, char** argv) {
               ++res.errors;
               continue;
             }
-            Viewer& viewer = viewers[seq % viewers.size()];
+            const std::size_t index = seq % viewers.size();
+            Viewer& viewer = viewers[index];
             if (reply.status == net::Status::kBusy) {
               ++res.busy;  // resend the same state next round
               continue;
@@ -497,6 +500,13 @@ int main(int argc, char** argv) {
               continue;
             }
             ++res.completed_sessions;
+            finished.push_back(index);
+          }
+          // Replace finished viewers only once the round's replies are
+          // all read: the blocking CLOSE/OPEN round trips expect their
+          // own reply next on the connection.
+          for (const std::size_t index : finished) {
+            Viewer& viewer = viewers[index];
             client.CloseSession(viewer.session);
             const auto& tests = datasets[viewer.dataset].test;
             viewer.env.SetFixedTrace(tests[viewer.next_trace]);
