@@ -15,6 +15,7 @@
 #include "policies/pensieve_policy.h"
 #include "policies/random_policy.h"
 #include "rl/ensemble.h"
+#include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -35,6 +36,21 @@ std::uint64_t Fnv1a(const std::string& s) {
 std::uint64_t DatasetSeed(std::uint64_t base, traces::DatasetId id) {
   return base * 0x9E3779B97F4A7C15ULL + 0x243F6A8885A308D3ULL *
          (static_cast<std::uint64_t>(id) + 1);
+}
+
+/// Creates the cache root. A dangling symlink - a directory with an
+/// osap_cache link to a cache that does not exist yet, e.g. the smoke
+/// directories on a fresh clone - is created at its final target, each
+/// relative target resolved against the link's own directory;
+/// create_directories on the link itself fails with EEXIST. The hop bound
+/// matches the kernel's symlink limit, so a cycle falls through to
+/// create_directories, which reports it.
+void CreateCacheRoot(std::filesystem::path root) {
+  for (int hops = 0; hops < 40 && std::filesystem::is_symlink(root); ++hops) {
+    const std::filesystem::path target = std::filesystem::read_symlink(root);
+    root = target.is_absolute() ? target : root.parent_path() / target;
+  }
+  std::filesystem::create_directories(root);
 }
 
 }  // namespace
@@ -91,6 +107,7 @@ Workbench::Workbench(WorkbenchConfig config)
   OSAP_REQUIRE(config_.ensemble_size > config_.ensemble_discard,
                "Workbench: ensemble_discard must leave >= 1 member");
   layout_.levels = eval_video_.LevelCount();
+  if (config_.use_cache) CreateCacheRoot(config_.cache_dir);
 }
 
 std::size_t Workbench::ResolvedThreads() const {
@@ -612,11 +629,11 @@ void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
   });
 
   if (config_.use_cache) {
-    std::filesystem::create_directories(BundleDir(bundle.id));
-    std::ofstream out(path, std::ios::trunc);
-    out.precision(17);
-    out << bundle.nd_in_dist_qoe << ' ' << bundle.alpha_pi << ' '
-        << bundle.alpha_v << '\n';
+    util::WriteFileAtomically(path, [&](std::ostream& out) {
+      out.precision(17);
+      out << bundle.nd_in_dist_qoe << ' ' << bundle.alpha_pi << ' '
+          << bundle.alpha_v << '\n';
+    });
   }
 }
 

@@ -82,6 +82,10 @@ struct WorkbenchConfig {
 
   CalibrationConfig calibration;
 
+  /// Artifact cache root. With use_cache the constructor creates it - at
+  /// its final target when it is a dangling symlink - and every artifact
+  /// is written atomically, so processes sharing one cache never load a
+  /// torn file.
   std::filesystem::path cache_dir = "osap_cache";
   bool use_cache = true;
   std::uint64_t seed = 7;

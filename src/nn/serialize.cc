@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/atomic_file.h"
+
 namespace osap::nn {
 
 namespace {
@@ -60,14 +62,8 @@ void LoadParams(std::istream& in, const std::vector<Param*>& params) {
 
 void SaveParamsToFile(const std::filesystem::path& path,
                       const std::vector<Param*>& params) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("SaveParamsToFile: cannot open " + path.string());
-  }
-  SaveParams(out, params);
+  util::WriteFileAtomically(
+      path, [&](std::ostream& out) { SaveParams(out, params); });
 }
 
 void LoadParamsFromFile(const std::filesystem::path& path,

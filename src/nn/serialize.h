@@ -25,7 +25,8 @@ void SaveParams(std::ostream& out, const std::vector<Param*>& params);
 /// Throws std::runtime_error on format/shape mismatch.
 void LoadParams(std::istream& in, const std::vector<Param*>& params);
 
-/// File-path convenience wrappers (create parent directories on save).
+/// File-path convenience wrappers. Saving creates parent directories and
+/// replaces the file atomically (util::WriteFileAtomically).
 void SaveParamsToFile(const std::filesystem::path& path,
                       const std::vector<Param*>& params);
 void LoadParamsFromFile(const std::filesystem::path& path,

@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -630,28 +631,21 @@ double OneClassSvm::InlierFraction(
 
 void OneClassSvm::Save(const std::filesystem::path& path) const {
   OSAP_REQUIRE(Fitted(), "OneClassSvm::Save before Fit");
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("OneClassSvm::Save: cannot open " +
-                             path.string());
-  }
-  out.write(kMagic, sizeof(kMagic));
-  WriteU64(out, sv_count_);
-  WriteU64(out, sv_dim_);
-  WriteF64(out, rho_);
-  WriteF64(out, gamma_);
-  WriteF64(out, config_.nu);
-  for (double m : scaler_.mean()) WriteF64(out, m);
-  for (double s : scaler_.stddev()) WriteF64(out, s);
-  for (std::size_t i = 0; i < sv_count_; ++i) {
-    WriteF64(out, alphas_[i]);
-    const double* sv = sv_data_.data() + i * sv_dim_;
-    for (std::size_t d = 0; d < sv_dim_; ++d) WriteF64(out, sv[d]);
-  }
-  if (!out) throw std::runtime_error("OneClassSvm::Save: write failed");
+  util::WriteFileAtomically(path, [&](std::ostream& out) {
+    out.write(kMagic, sizeof(kMagic));
+    WriteU64(out, sv_count_);
+    WriteU64(out, sv_dim_);
+    WriteF64(out, rho_);
+    WriteF64(out, gamma_);
+    WriteF64(out, config_.nu);
+    for (double m : scaler_.mean()) WriteF64(out, m);
+    for (double s : scaler_.stddev()) WriteF64(out, s);
+    for (std::size_t i = 0; i < sv_count_; ++i) {
+      WriteF64(out, alphas_[i]);
+      const double* sv = sv_data_.data() + i * sv_dim_;
+      for (std::size_t d = 0; d < sv_dim_; ++d) WriteF64(out, sv[d]);
+    }
+  });
 }
 
 OneClassSvm OneClassSvm::Load(const std::filesystem::path& path) {

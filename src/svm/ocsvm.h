@@ -96,6 +96,7 @@ class OneClassSvm {
   const OcSvmConfig& config() const { return config_; }
 
   /// Model (de)serialization: support vectors, alphas, rho, gamma, scaler.
+  /// Save replaces the file atomically (util::WriteFileAtomically).
   void Save(const std::filesystem::path& path) const;
   static OneClassSvm Load(const std::filesystem::path& path);
 

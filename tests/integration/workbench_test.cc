@@ -4,6 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include "util/logging.h"
 
 namespace osap::core {
 namespace {
@@ -166,6 +169,58 @@ TEST(WorkbenchCache, CorruptCacheFallsBackToRetraining) {
   // Training is deterministic, so the retrained agent matches.
   EXPECT_DOUBLE_EQ(trained_qoe, retrained_qoe);
   std::filesystem::remove_all(cfg.cache_dir);
+}
+
+// The tool and bench smokes run from a build directory whose osap_cache
+// symlink points at the repo's cache root, which a fresh clone does not
+// have yet. The first workbench must train into the link's target (a
+// relative target resolves against the link's own directory) and the
+// second must load every artifact from it.
+TEST(WorkbenchCache, DanglingSymlinkCacheDirTrainsIntoLinkTarget) {
+  const auto root =
+      std::filesystem::temp_directory_path() / "osap_wb_cache_link_test";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  std::filesystem::create_symlink("missing_dir", root / "link");
+  WorkbenchConfig cfg = FastWorkbenchConfig();
+  cfg.use_cache = true;
+  cfg.cache_dir = root / "link";
+  double trained_qoe = 0.0;
+  std::filesystem::path bundle_dir;
+  {
+    Workbench first(cfg);
+    first.BundleFor(DatasetId::kGamma12);
+    trained_qoe = first
+                      .Evaluate(Scheme::kPensieve, DatasetId::kGamma12,
+                                DatasetId::kGamma12)
+                      .MeanQoe();
+    bundle_dir = root / "missing_dir" / first.CacheKey() /
+                 traces::DatasetName(DatasetId::kGamma12);
+  }
+  for (const char* name : {"agent_0.bin", "value_0.bin", "ocsvm.bin",
+                           "calibration.txt"}) {
+    EXPECT_TRUE(std::filesystem::is_regular_file(bundle_dir / name)) << name;
+  }
+
+  const LogLevel level = GetLogLevel();
+  SetLogLevel(LogLevel::kInfo);
+  testing::internal::CaptureStderr();
+  Workbench second(cfg);
+  second.BundleFor(DatasetId::kGamma12);
+  const std::string log = testing::internal::GetCapturedStderr();
+  SetLogLevel(level);
+  for (const char* line :
+       {"loaded agent ensemble from cache", "loaded value ensemble from cache",
+        "loaded OC-SVM from cache", "loaded calibration from cache"}) {
+    EXPECT_NE(log.find(line), std::string::npos) << line << "\n" << log;
+  }
+  const double loaded_qoe =
+      second
+          .Evaluate(Scheme::kPensieve, DatasetId::kGamma12,
+                    DatasetId::kGamma12)
+          .MeanQoe();
+  EXPECT_DOUBLE_EQ(trained_qoe, loaded_qoe);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

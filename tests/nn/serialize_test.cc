@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/losses.h"
 #include "nn/sequential.h"
@@ -14,7 +16,11 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "osap_nn_ser_test";
+    // One directory per test: ctest runs each test as its own process,
+    // in parallel, and a shared directory is removed under its siblings.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("osap_nn_ser_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -101,6 +107,32 @@ TEST_F(SerializeTest, SaveCreatesParentDirectories) {
   const auto path = dir_ / "a" / "b" / "net.bin";
   SaveParamsToFile(path, net.Params());
   EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+// Cache artifacts are rewritten in place by whichever process trains
+// them; the save must replace the old file whole and leave no temp file.
+TEST_F(SerializeTest, SaveOverExistingFileReplacesItAndLeavesNoTempFile) {
+  Rng rng(11);
+  Sequential first = MakeMlp(4, {8}, 3, rng);
+  Sequential second = MakeMlp(4, {8}, 3, rng);
+  const auto path = dir_ / "net.bin";
+  SaveParamsToFile(path, first.Params());
+  SaveParamsToFile(path, second.Params());
+
+  std::vector<std::filesystem::path> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    entries.push_back(entry.path().filename());
+  }
+  EXPECT_EQ(entries, std::vector<std::filesystem::path>{"net.bin"});
+
+  Sequential loaded = MakeMlp(4, {8}, 3, rng);
+  LoadParamsFromFile(path, loaded.Params());
+  const auto want = second.Params();
+  const auto got = loaded.Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    EXPECT_EQ(got[p]->value.values(), want[p]->value.values());
+  }
 }
 
 }  // namespace

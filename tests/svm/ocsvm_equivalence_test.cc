@@ -93,8 +93,8 @@ TEST(OcSvmEquivalence, ContiguousScanMatchesPerVectorReference) {
   model.Fit(TrainingBlob(300, rng));
   ASSERT_TRUE(model.Fitted());
 
-  const auto path =
-      std::filesystem::temp_directory_path() / "osap_svm_equiv" / "model.bin";
+  const auto path = std::filesystem::temp_directory_path() /
+                    "osap_svm_equiv_scan" / "model.bin";
   model.Save(path);
   const SavedModel saved = ParseSaved(path);
   ASSERT_EQ(saved.count, model.SupportVectorCount());
@@ -116,7 +116,7 @@ TEST(OcSvmEquivalence, SaveLoadRoundTripsFlattenedRepresentationExactly) {
   model.Fit(TrainingBlob(200, rng));
 
   const auto path =
-      std::filesystem::temp_directory_path() / "osap_svm_equiv" / "rt.bin";
+      std::filesystem::temp_directory_path() / "osap_svm_equiv_rt" / "rt.bin";
   model.Save(path);
   const OneClassSvm loaded = OneClassSvm::Load(path);
 

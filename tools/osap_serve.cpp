@@ -25,7 +25,8 @@
 // queueing delay instead of silently slowing the arrival process down
 // (no coordinated omission). Uses the shared ./osap_cache artifacts
 // (trains them on first run - run from the repo root or a directory with
-// an osap_cache symlink).
+// an osap_cache symlink; a dangling symlink's target is created on first
+// run and the artifacts trained into it).
 //
 // With --listen PORT the tool is instead the network-edge server
 // (DESIGN.md §10): it binds the port (0 picks an ephemeral one, printed

@@ -17,7 +17,8 @@
 # backend; a kernel that denies io_uring makes the uring leg fall back to
 # epoll with a notice, which the sweep surfaces via the server's "io:"
 # summary line). Run from a directory with an ./osap_cache symlink (the
-# server loads the trained bundle from it).
+# server loads the trained bundle from it; if the link dangles, the first
+# server run creates its target and trains the bundle into it).
 set -euo pipefail
 
 SERVE=${1:?usage: wire_sweep.sh SERVE CLIENT [sessions] [rounds] ...}
