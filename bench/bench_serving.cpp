@@ -24,7 +24,11 @@
 // against a {shards}-shard service, drives a few rounds so scratch
 // materializes, and reports bytes_per_session (exact, from
 // ServiceMemoryStats - the number the memory-diet gate pins), rss_mb
-// (process RSS growth over the run) and peak_rss_mb. Run it alone with
+// (process RSS growth over the run) and peak_rss_mb. Two rounds leave
+// every U_S window short of full, so those rows hold no pair rings;
+// BM_ServeServiceMemUsFullWindow drives 2 x (throughput_window + k)
+// rounds, so every session holds its ring and the gate also pins the
+// full-window footprint. Run the sweep alone with
 // OSAP_BENCH_JSON=BENCH_serving_mem.json to produce the memory baseline.
 //
 // Uses the shared ./osap_cache artifacts (trains them on first run).
@@ -250,10 +254,11 @@ void RunService(benchmark::State& state, core::Scheme scheme) {
 }
 
 /// Memory sweep: bytes/session at scale. One iteration builds a service,
-/// opens N sessions, runs a few rounds (so extractor slabs, trigger rings
-/// and shard scratch all materialize) and reports the exact per-session
-/// accounting plus the kernel's view of the process.
-void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
+/// opens N sessions, runs `rounds` rounds (so extractor slabs, trigger
+/// rings and shard scratch all materialize) and reports the exact
+/// per-session accounting plus the kernel's view of the process.
+void RunServiceMem(benchmark::State& state, core::Scheme scheme,
+                   std::size_t rounds = 2) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const auto model = SharedModel(scheme);
@@ -274,7 +279,7 @@ void RunServiceMem(benchmark::State& state, core::Scheme scheme) {
     for (std::size_t i = 0; i < n; ++i) ids[i] = service.OpenSession();
     std::vector<serve::DecisionService::Request> requests(n);
     std::vector<mdp::Action> actions(n);
-    for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t round = 0; round < rounds; ++round) {
       for (std::size_t i = 0; i < n; ++i) {
         requests[i] = {ids[i], &PooledState(i, round)};
       }
@@ -491,6 +496,12 @@ void BM_NetServeUv(benchmark::State& state, net::BackendKind backend) {
 void BM_ServeServiceMemUs(benchmark::State& state) {
   RunServiceMem(state, core::Scheme::kNoveltyDetection);
 }
+void BM_ServeServiceMemUsFullWindow(benchmark::State& state) {
+  const core::NoveltyDetectorConfig& nd =
+      SharedModel(core::Scheme::kNoveltyDetection)->NoveltyConfig();
+  RunServiceMem(state, core::Scheme::kNoveltyDetection,
+                2 * (nd.throughput_window + nd.k));
+}
 void BM_ServeServiceMemUpi(benchmark::State& state) {
   RunServiceMem(state, core::Scheme::kAgentEnsemble);
 }
@@ -555,6 +566,9 @@ BENCHMARK_CAPTURE(BM_NetServeUv, uring, net::BackendKind::kUring)
 // accounting does not jitter; timing is not what this measures).
 BENCHMARK(BM_ServeServiceMemUs)
     ->Args({10000, 8})->Args({100000, 8})
+    ->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeServiceMemUsFullWindow)
+    ->Args({10000, 8})
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeServiceMemUpi)
     ->Args({10000, 8})->Args({100000, 8})

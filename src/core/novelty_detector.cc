@@ -12,14 +12,14 @@ void ValidateExtractorConfig(const NoveltyDetectorConfig& config) {
   OSAP_REQUIRE(config.k >= 1, "NoveltyDetector: k must be >= 1");
 }
 
-/// Validates config + storage and returns the window's slice of it.
+/// Validates config + window storage and returns the window's slice.
 std::span<double> WindowSlice(const NoveltyDetectorConfig& config,
-                              std::span<double> storage) {
+                              std::span<double> window) {
   ValidateExtractorConfig(config);
   OSAP_REQUIRE(
-      storage.size() >= NoveltyFeatureExtractor::StorageDoubles(config),
-      "NoveltyFeatureExtractor: storage too small");
-  return storage.first(config.throughput_window);
+      window.size() >= NoveltyFeatureExtractor::WindowDoubles(config),
+      "NoveltyFeatureExtractor: window storage too small");
+  return window.first(config.throughput_window);
 }
 
 }  // namespace
@@ -33,9 +33,8 @@ NoveltyFeatureExtractor::NoveltyFeatureExtractor(
 }
 
 NoveltyFeatureExtractor::NoveltyFeatureExtractor(
-    const NoveltyDetectorConfig& config, std::span<double> storage)
-    : window_(WindowSlice(config, storage)),
-      pairs_(storage.data() + config.throughput_window),
+    const NoveltyDetectorConfig& config, std::span<double> window)
+    : window_(WindowSlice(config, window)),
       k_(static_cast<std::uint32_t>(config.k)) {}
 
 NoveltyFeatureExtractor::~NoveltyFeatureExtractor() = default;
@@ -100,6 +99,8 @@ bool NoveltyFeatureExtractor::Push(double throughput_mbps,
                                    std::span<double> out) {
   OSAP_REQUIRE(out.size() >= 2 * static_cast<std::size_t>(k_),
                "NoveltyFeatureExtractor::Push: output span too short");
+  OSAP_REQUIRE(!NeedsPairs(),
+               "NoveltyFeatureExtractor::Push: attach a pair ring first");
   window_.Push(throughput_mbps);
   if (!window_.Full()) return false;
   // Overwrite the oldest slot; until the ring fills, the oldest slot is
@@ -126,6 +127,21 @@ void NoveltyFeatureExtractor::Reset() {
   window_.Reset();
   head_ = 0;
   count_ = 0;
+}
+
+void NoveltyFeatureExtractor::AttachPairs(std::span<double> pairs) {
+  OSAP_REQUIRE(pairs_ == nullptr,
+               "NoveltyFeatureExtractor::AttachPairs: a ring is attached");
+  OSAP_REQUIRE(pairs.size() >= 2 * static_cast<std::size_t>(k_),
+               "NoveltyFeatureExtractor::AttachPairs: ring too small");
+  pairs_ = pairs.data();
+}
+
+void NoveltyFeatureExtractor::DetachPairs() {
+  OSAP_REQUIRE(owned_pairs_ == nullptr,
+               "NoveltyFeatureExtractor::DetachPairs: the ring is owned");
+  Reset();
+  pairs_ = nullptr;
 }
 
 NoveltyDetector::NoveltyDetector(NoveltyDetectorConfig config,

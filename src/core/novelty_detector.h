@@ -38,21 +38,29 @@ struct NoveltyDetectorConfig {
 /// online detection and offline training-set extraction so both see
 /// identical features.
 ///
-/// All variable state (the throughput window plus the [mean, stddev] pair
-/// ring) fits in StorageDoubles(config) doubles. The config constructor
-/// allocates it privately; the placement constructor carves it from
-/// caller-owned memory, which is how the serving path packs thousands of
-/// per-session extractors into shard slabs with zero private
-/// allocations. Copies are deep into owned storage; moves steal it.
+/// The variable state is the throughput window (WindowDoubles(config))
+/// plus the [mean, stddev] pair ring (PairDoubles(config)). The ring is
+/// first written by the push that fills the window, so it may arrive
+/// late:
+///   - the config constructor allocates both parts privately (offline
+///     use: NoveltyDetector, training-set extraction);
+///   - the placement constructor places only the window in caller-owned
+///     memory, and the caller attaches a ring (AttachPairs) once
+///     NeedsPairs() says the next push would write one. This is how the
+///     serving path packs thousands of per-session extractors into shard
+///     slabs with zero private allocations, and keeps short-lived
+///     sessions from ever paying for a ring.
+/// Copies are deep into owned storage (both parts); moves steal it.
 class NoveltyFeatureExtractor {
  public:
   explicit NoveltyFeatureExtractor(const NoveltyDetectorConfig& config);
 
-  /// Places the extractor's variable state into `storage` (>=
-  /// StorageDoubles(config) doubles, uninitialized is fine). The caller
-  /// keeps the memory alive and in place for the extractor's lifetime.
+  /// Places the window into `window` (>= WindowDoubles(config) doubles,
+  /// uninitialized is fine). The caller keeps the memory alive and in
+  /// place for the extractor's lifetime, and attaches a pair ring before
+  /// the push that fills the window.
   NoveltyFeatureExtractor(const NoveltyDetectorConfig& config,
-                          std::span<double> storage);
+                          std::span<double> window);
 
   ~NoveltyFeatureExtractor();
   NoveltyFeatureExtractor(const NoveltyFeatureExtractor& other);
@@ -60,11 +68,30 @@ class NoveltyFeatureExtractor {
   NoveltyFeatureExtractor(NoveltyFeatureExtractor&& other) noexcept;
   NoveltyFeatureExtractor& operator=(NoveltyFeatureExtractor&& other) noexcept;
 
-  /// Doubles of backing storage an extractor for `config` needs: the
-  /// throughput window plus k interleaved [mean, stddev] pairs.
-  static std::size_t StorageDoubles(const NoveltyDetectorConfig& config) {
-    return config.throughput_window + 2 * config.k;
+  /// Doubles of throughput window an extractor for `config` holds.
+  static std::size_t WindowDoubles(const NoveltyDetectorConfig& config) {
+    return config.throughput_window;
   }
+  /// Doubles of its ring of k interleaved [mean, stddev] pairs.
+  static std::size_t PairDoubles(const NoveltyDetectorConfig& config) {
+    return 2 * config.k;
+  }
+
+  /// True while a pair ring is attached (always for an owning extractor
+  /// or a copy; for a placed one, from AttachPairs to DetachPairs).
+  bool HasPairs() const { return pairs_ != nullptr; }
+  /// True iff no ring is attached and the next Push fills (or slides) the
+  /// window, i.e. would write a pair.
+  bool NeedsPairs() const {
+    return pairs_ == nullptr && window_.Size() + 1 >= window_.Capacity();
+  }
+  /// Attaches a caller-owned ring (>= PairDoubles doubles, uninitialized
+  /// is fine) to an extractor that has none. The caller keeps it alive
+  /// and in place until DetachPairs or the extractor's end.
+  void AttachPairs(std::span<double> pairs);
+  /// Resets the stream and drops a ring attached by AttachPairs (the
+  /// caller may then reuse it elsewhere).
+  void DetachPairs();
 
   /// Pushes one throughput observation (Mbps). Returns the feature vector
   /// (2k dims: k x [mean, stddev], oldest pair first) once enough history
@@ -80,6 +107,7 @@ class NoveltyFeatureExtractor {
   /// Feature dimensionality (2k).
   std::size_t FeatureSize() const { return 2 * k_; }
 
+  /// Restarts warm-up; an attached ring stays attached.
   void Reset();
 
  private:

@@ -640,6 +640,15 @@ void Workbench::CalibrateOrLoadThresholds(TrainedBundle& bundle) {
 const TrainedBundle& Workbench::BundleFor(traces::DatasetId id) {
   auto it = bundles_.find(id);
   if (it != bundles_.end()) return it->second;
+  // One training per bundle across processes sharing the cache: the
+  // first to take the bundle's lock trains and writes the artifacts;
+  // the others wait here, then load them.
+  std::optional<util::FileLock> lock;
+  if (config_.use_cache) {
+    const std::filesystem::path dir = BundleDir(id);
+    std::filesystem::create_directories(dir.parent_path());
+    lock.emplace(dir.parent_path() / (dir.filename().string() + ".lock"));
+  }
   TrainedBundle bundle;
   bundle.id = id;
   TrainOrLoadAgents(bundle);

@@ -74,14 +74,18 @@ void EpollBackend::Pump(bool block) {
     // recycled until the end of the round, so stale events are
     // recognizable and ignored here.
     if (!conn.open) continue;
-    if ((events_[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
+    const std::uint32_t events = events_[i].events;
+    if ((events & EPOLLERR) != 0) {
       server_.CloseConnection(edge_, slot);
       continue;
     }
-    if ((events_[i].events & EPOLLOUT) != 0) FlushWrites(slot);
+    if ((events & EPOLLOUT) != 0) FlushWrites(slot);
     if (!conn.open) continue;
-    if ((events_[i].events & EPOLLIN) != 0) {
-      if (!DrainSocket(slot)) server_.CloseConnection(edge_, slot);
+    // A hang-up raises no further edge once its bytes are drained, so it
+    // is read to EOF; plain readability stops at the first short read.
+    const bool hung_up = (events & (EPOLLRDHUP | EPOLLHUP)) != 0;
+    if ((events & EPOLLIN) != 0 || hung_up) {
+      if (!DrainSocket(slot, hung_up)) server_.CloseConnection(edge_, slot);
     }
   }
 }
@@ -99,11 +103,13 @@ void EpollBackend::AcceptReady() {
   }
 }
 
-bool EpollBackend::DrainSocket(std::size_t slot) {
+bool EpollBackend::DrainSocket(std::size_t slot, bool to_eof) {
   Connection& conn = *edge_.connections[slot];
-  // Edge-triggered: drain until EAGAIN, or stop early on pause (the
+  // Edge-triggered: a read shorter than the chunk emptied the receive
+  // queue, and any later arrival raises a new edge - so stop there
+  // rather than pay a recv for EAGAIN. Stop early on pause too (the
   // unread bytes close the TCP window - that IS the backpressure).
-  while (!conn.paused) {
+  while (!conn.paused && !conn.read_closed) {
     const std::size_t old = conn.in.size();
     conn.in.resize(old + kReadChunk);
     const ssize_t r = ::recv(conn.fd, conn.in.data() + old, kReadChunk, 0);
@@ -111,10 +117,14 @@ bool EpollBackend::DrainSocket(std::size_t slot) {
     if (r > 0) {
       conn.in.resize(old + static_cast<std::size_t>(r));
       if (!server_.ParseBuffered(edge_, slot)) return false;
+      if (!to_eof && static_cast<std::size_t>(r) < kReadChunk) return true;
       continue;
     }
     conn.in.resize(old);
-    if (r == 0) return false;  // EOF
+    if (r == 0) {  // EOF: answer what the peer sent, then close
+      server_.FinishReads(edge_, slot);
+      return true;
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;
     return false;
@@ -125,7 +135,7 @@ bool EpollBackend::DrainSocket(std::size_t slot) {
 bool EpollBackend::OnConnectionOpened(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLET;
+  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
   ev.data.u64 = slot;
   edge_.io_syscalls.fetch_add(1, std::memory_order_relaxed);
   return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev) == 0;
@@ -140,13 +150,15 @@ void EpollBackend::OnConnectionClosing(std::size_t slot) {
 
 void EpollBackend::OnReadsResumed(std::size_t slot) {
   // The pause may have swallowed an edge: the kernel owes no further
-  // EPOLLIN for bytes that arrived while paused, so drain explicitly.
-  if (!DrainSocket(slot)) server_.CloseConnection(edge_, slot);
+  // EPOLLIN (or EPOLLRDHUP) for bytes that arrived while paused, so
+  // drain explicitly - to EOF, since a hang-up may be among them.
+  if (!DrainSocket(slot, true)) server_.CloseConnection(edge_, slot);
 }
 
 void EpollBackend::FlushWrites(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   server_.DirectFlush(edge_, slot);
+  server_.CloseIfFinished(edge_, slot);
   if (!conn.open) return;
   const bool want_write = conn.out_head < conn.out_q.size();
   if (want_write != conn.want_write) {
@@ -158,7 +170,8 @@ void EpollBackend::FlushWrites(std::size_t slot) {
 void EpollBackend::UpdateInterest(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLET | (conn.want_write ? EPOLLOUT : 0u);
+  ev.events =
+      EPOLLIN | EPOLLRDHUP | EPOLLET | (conn.want_write ? EPOLLOUT : 0u);
   ev.data.u64 = slot;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   edge_.io_syscalls.fetch_add(1, std::memory_order_relaxed);

@@ -1,9 +1,11 @@
 // The reference arm: edge-triggered epoll, one syscall per socket per
-// operation. This is the original NetServer event loop verbatim, moved
-// behind net::Backend - epoll_wait gathers readiness, accept4 loops to
-// EAGAIN, recv drains to EAGAIN, DirectFlush (sendmsg) pushes replies
-// with EPOLLOUT continuation for partial writes. The uring arm is
-// measured against this one; the loopback bit-identity pins run both.
+// operation. This is the original NetServer event loop, moved behind
+// net::Backend - epoll_wait gathers readiness, accept4 loops to EAGAIN,
+// recv reads until a short read (the queue is empty; the next arrival
+// raises a new edge) or, once the peer has hung up, to EOF, and
+// DirectFlush (sendmsg) pushes replies with EPOLLOUT continuation for
+// partial writes. The uring arm is measured against this one; the
+// loopback bit-identity pins run both.
 #pragma once
 
 #include <sys/epoll.h>
@@ -33,10 +35,14 @@ class EpollBackend final : public Backend {
  private:
   /// accept4 until EAGAIN; each fd goes through the shared admission.
   void AcceptReady();
-  /// Edge-triggered read: recv until EAGAIN (or pause), parsing as
-  /// bytes land. False closes the connection (EOF / protocol error).
-  bool DrainSocket(std::size_t slot);
-  /// Re-arms the fd's interest set (EPOLLIN|EPOLLET [+EPOLLOUT]).
+  /// Edge-triggered read, parsing as bytes land: recv until a short read
+  /// (or EAGAIN, or pause); with `to_eof` (the peer hung up, or a paused
+  /// read resumes) until EOF or EAGAIN, so a FIN is never left unread.
+  /// EOF hands the connection to NetServer::FinishReads. False closes
+  /// the connection (read or protocol error).
+  bool DrainSocket(std::size_t slot, bool to_eof);
+  /// Re-arms the fd's interest set (EPOLLIN|EPOLLRDHUP|EPOLLET
+  /// [+EPOLLOUT]).
   void UpdateInterest(std::size_t slot);
 
   NetServer& server_;

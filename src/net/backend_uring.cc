@@ -161,8 +161,8 @@ void UringBackend::OnRecvCqe(std::uint32_t slot, std::uint32_t gen,
   if (terminal) io.recv_armed = false;
   Connection& conn = *edge_.connections[slot];
   if (!conn.open || draining_) return;
-  if (cqe.res == 0) {  // EOF
-    server_.CloseConnection(edge_, slot);
+  if (cqe.res == 0) {  // EOF: answer what the peer sent, then close
+    server_.FinishReads(edge_, slot);
     return;
   }
   if (cqe.res < 0) {
@@ -237,6 +237,7 @@ void UringBackend::OnSendCqe(std::uint32_t slot, std::uint32_t gen,
   }
   server_.ConsumeOutput(edge_, slot, static_cast<std::size_t>(res));
   if (!drained_ && conn.out_head < conn.out_q.size()) StartSend(slot);
+  server_.CloseIfFinished(edge_, slot);
 }
 
 void UringBackend::OnCancelCqe(std::uint32_t slot, std::uint32_t gen) {
@@ -290,8 +291,8 @@ void UringBackend::ArmRecv(std::size_t slot) {
 void UringBackend::MaybeRearmRecv(std::size_t slot) {
   Connection& conn = *edge_.connections[slot];
   SlotIo& io = slot_io_[slot];
-  if (conn.open && !conn.paused && !io.recv_armed && !io.cancel_pending &&
-      !draining_) {
+  if (conn.open && !conn.paused && !conn.read_closed && !io.recv_armed &&
+      !io.cancel_pending && !draining_) {
     ArmRecv(slot);
   }
 }

@@ -41,6 +41,9 @@ struct Connection {
   /// until the backlog halves.
   bool paused = false;
   bool want_write = false;  // epoll arm: EPOLLOUT armed (partial write)
+  /// The peer half-closed (EOF read): nothing more is read, and the
+  /// connection closes once every STEP it sent is answered and flushed.
+  bool read_closed = false;
   bool dirty = false;       // queued replies awaiting a flush this round
   std::uint32_t in_flight = 0;  // admitted STEPs not yet answered
 

@@ -587,8 +587,11 @@ void NetServer::RunBatch(Edge& edge) {
         continue;
       }
       // Parsing buffered frames may re-pause; only a still-unpaused
-      // connection gets its read path re-armed.
-      if (conn.open && !conn.paused) edge.backend->OnReadsResumed(slot);
+      // connection whose peer has not finished gets its read path
+      // re-armed.
+      if (conn.open && !conn.paused && !conn.read_closed) {
+        edge.backend->OnReadsResumed(slot);
+      }
     }
   }
   edge.unpaused.clear();
@@ -627,6 +630,19 @@ void NetServer::FailPendingOf(Edge& edge, std::uint64_t session,
     if (status == Status::kError) {
       edge.errors.fetch_add(failed, std::memory_order_relaxed);
     }
+  }
+}
+
+void NetServer::FinishReads(Edge& edge, std::size_t slot) {
+  edge.connections[slot]->read_closed = true;
+  CloseIfFinished(edge, slot);
+}
+
+void NetServer::CloseIfFinished(Edge& edge, std::size_t slot) {
+  const Connection& conn = *edge.connections[slot];
+  if (conn.open && conn.read_closed && conn.in_flight == 0 &&
+      conn.out_head == conn.out_q.size()) {
+    CloseConnection(edge, slot);
   }
 }
 
@@ -670,6 +686,7 @@ void NetServer::CloseConnection(Edge& edge, std::size_t slot) {
   conn.open = false;
   conn.paused = false;
   conn.want_write = false;
+  conn.read_closed = false;
   conn.dirty = false;
   conn.in_flight = 0;
   conn.in.clear();

@@ -202,6 +202,14 @@ class NetServer {
   /// (a CLOSE overtaking pipelined STEPs, never the normal path).
   void FailPendingOf(Edge& edge, std::uint64_t session, Status status);
   void CloseConnection(Edge& edge, std::size_t slot);
+  /// EOF on the connection's stream: stop reading for good and close it
+  /// once it owes no reply (at once when it owes none now), so a peer
+  /// that writes its last frame and shuts its side still gets answered.
+  void FinishReads(Edge& edge, std::size_t slot);
+  /// Closes a connection that has seen EOF and owes no reply: no STEP in
+  /// flight, nothing left in its output queue. Both arms call it once a
+  /// flush has drained the queue.
+  void CloseIfFinished(Edge& edge, std::size_t slot);
   void QueueReply(Edge& edge, std::size_t slot, const Reply& reply,
                   const ServerStats* stats = nullptr);
   /// Flushes every connection QueueReply marked dirty this iteration

@@ -43,13 +43,15 @@ DecisionService::DecisionService(std::shared_ptr<const ServingModel> model,
                     std::memory_order_relaxed);
   ring_width_ = core::SafetyRingDoubles(model_->safety());
   if (model_->signal() == Signal::kNovelty) {
-    extractor_doubles_ = core::NoveltyFeatureExtractor::StorageDoubles(
+    window_doubles_ = core::NoveltyFeatureExtractor::WindowDoubles(
+        model_->NoveltyConfig());
+    pair_doubles_ = core::NoveltyFeatureExtractor::PairDoubles(
         model_->NoveltyConfig());
   }
   shards_.reserve(config_.shard_count);
   for (std::size_t s = 0; s < config_.shard_count; ++s) {
     shards_.push_back(std::make_unique<ShardLane>(
-        config_.extractor_slab_slots, extractor_doubles_));
+        config_.extractor_slab_slots, window_doubles_, pair_doubles_));
     if (config_.lane_capacity_bound > 0) {
       shards_.back()->ring.SetBound(config_.lane_capacity_bound);
     }
@@ -108,8 +110,9 @@ DecisionService::SessionId DecisionService::InitSession(std::size_t shard,
     table.hot.resize(local + 1);
     table.cold.resize(local + 1);
     if (ring_width_ > 0) table.rings.resize((local + 1) * ring_width_);
-    if (extractor_doubles_ > 0) {
+    if (window_doubles_ > 0) {
       table.extractor_of.resize(local + 1, ExtractorPool::kInvalid);
+      table.pairs_of.resize(local + 1, PairPool::kInvalid);
     }
     table.open.resize(local + 1, 0);
     table.last_round.resize(local + 1, 0);
@@ -119,15 +122,15 @@ DecisionService::SessionId DecisionService::InitSession(std::size_t shard,
   // past win_size.
   table.hot[local] = core::SafetyState{};
   table.cold[local] = core::SafetyCold{};
-  if (extractor_doubles_ > 0) {
+  if (window_doubles_ > 0) {
     const ExtractorPool::Index slot =
-        lane.extractors.Acquire([this](std::span<double> storage) {
+        lane.extractors.Acquire([this](std::span<double> window) {
           return core::NoveltyFeatureExtractor(model_->NoveltyConfig(),
-                                               storage);
+                                               window);
         });
-    // Recycled pool slots keep the previous session's streaming state;
-    // reset unconditionally (fresh slots are already reset - cheap).
-    lane.extractors[slot].Reset();
+    // Recycled pool slots come back reset and ring-less (CloseSession
+    // detaches); fresh ones are built that way. The pair ring arrives in
+    // RunShard, on the push that fills the window.
     table.extractor_of[local] = slot;
   }
   table.open[local] = 1;
@@ -156,11 +159,19 @@ void DecisionService::CloseSession(SessionId id) {
   OSAP_REQUIRE(IsOpen(id), "CloseSession: unknown session");
   ShardLane& lane = *shards_[ShardOf(id)];
   const std::size_t local = LocalOf(id);
-  if (extractor_doubles_ > 0) {
-    lane.extractors.Release(lane.sessions.extractor_of[local]);
-    lane.sessions.extractor_of[local] = ExtractorPool::kInvalid;
+  if (window_doubles_ > 0) {
+    SessionTable& table = lane.sessions;
+    const ExtractorPool::Index slot = table.extractor_of[local];
+    lane.extractors[slot].DetachPairs();
+    if (table.pairs_of[local] != PairPool::kInvalid) {
+      lane.pairs.Release(table.pairs_of[local]);
+      table.pairs_of[local] = PairPool::kInvalid;
+    }
+    lane.extractors.Release(slot);
+    table.extractor_of[local] = ExtractorPool::kInvalid;
     // Give back whole trailing slabs once a population spike recedes
     // (no-op unless the newest slab is entirely free).
+    lane.pairs.Trim();
     lane.extractors.Trim();
   }
   lane.sessions.open[local] = 0;
@@ -283,9 +294,8 @@ void DecisionService::MaybeShrinkLane(ShardLane& lane, std::size_t count) {
   const std::size_t input = model_->InputSize();
   maybe_release(lane.states, lane.peak_count * input);
   maybe_release(lane.learned_states, lane.peak_count * input);
-  if (extractor_doubles_ > 0) {
-    const std::size_t fdim = 2 * model_->NoveltyConfig().k;
-    maybe_release(lane.features, lane.peak_count * fdim);
+  if (window_doubles_ > 0) {
+    maybe_release(lane.features, lane.peak_count * pair_doubles_);
   }
   if (lane.learned_actions.capacity() > 2 * lane.peak_count) {
     lane.learned_actions.clear();
@@ -400,10 +410,11 @@ void DecisionService::RunShard(std::size_t shard,
     // one contiguous matrix; a single batched OC-SVM scan then replaces
     // per-session DecisionValue calls. Warm-up semantics replicate
     // NoveltyDetector::Score exactly: non-positive observations skip the
-    // extractor entirely, incomplete windows score 0.
+    // extractor entirely, incomplete windows score 0. A session's pair
+    // ring is attached from the lane's pool on the push that fills its
+    // window (the first push that writes a pair).
     const core::NoveltyDetector::Probe& probe = model_->NoveltyProbe();
-    const std::size_t fdim = 2 * model_->NoveltyConfig().k;
-    s.features.ReshapeUninitialized(count, fdim);
+    s.features.ReshapeUninitialized(count, pair_doubles_);
     const std::span<std::size_t> staged_of = s.arena.Alloc<std::size_t>(count);
     std::size_t staged = 0;
     for (std::size_t j = 0; j < count; ++j) {
@@ -411,8 +422,15 @@ void DecisionService::RunShard(std::size_t shard,
       scores[j] = 0.0;
       const double observation = probe(*r.state);
       if (observation <= 0.0) continue;
+      const std::size_t local = LocalOf(r.session);
       core::NoveltyFeatureExtractor& extractor =
-          s.extractors[table.extractor_of[LocalOf(r.session)]];
+          s.extractors[table.extractor_of[local]];
+      if (extractor.NeedsPairs()) {
+        const PairPool::Index ring = s.pairs.Acquire(
+            [](std::span<double> storage) { return storage.data(); });
+        extractor.AttachPairs({s.pairs[ring], pair_doubles_});
+        table.pairs_of[local] = ring;
+      }
       if (extractor.Push(observation, s.features.Row(staged))) {
         staged_of[staged] = j;
         ++staged;
@@ -513,9 +531,12 @@ void DecisionService::AccumulateGroup(std::size_t group,
     stats.trigger_ring_bytes += table.rings.capacity() * sizeof(double);
     stats.registry_bytes +=
         table.extractor_of.capacity() * sizeof(ExtractorPool::Index) +
+        table.pairs_of.capacity() * sizeof(PairPool::Index) +
         table.open.capacity() * sizeof(std::uint8_t) +
         table.last_round.capacity() * sizeof(std::uint64_t);
     stats.extractor_bytes += lane.extractors.CapacityBytes();
+    stats.pair_ring_bytes += lane.pairs.CapacityBytes();
+    stats.pair_rings += lane.pairs.ActiveCount();
     stats.scratch_bytes +=
         sizeof(ShardLane) + lane.arena.CapacityBytes() +
         lane.states.values().capacity() * sizeof(double) +
@@ -551,6 +572,7 @@ void DecisionService::MeasureMemory(util::MemoryMeter& meter) const {
   meter.Add("session.cold", stats.session_cold_bytes);
   meter.Add("session.rings", stats.trigger_ring_bytes);
   meter.Add("session.extractors", stats.extractor_bytes);
+  meter.Add("session.pair_rings", stats.pair_ring_bytes);
   meter.Add("session.registry", stats.registry_bytes);
   meter.Add("shard.scratch", stats.scratch_bytes);
 }

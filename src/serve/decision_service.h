@@ -57,10 +57,14 @@
 // cold introspection fields split out - instead of per-session heap
 // objects, so the epoch scan walks cache lines, an open/close touches no
 // allocator in steady state (slots recycle through a free list), and a
-// session costs tens of bytes. U_S deployments add a per-shard
-// util::SlabPool of NoveltyFeatureExtractors whose window/pair storage is
-// carved from the slab; U_pi / U_V sessions hold no extractor index and
-// pay zero extractor bytes. MemoryStats() reports the exact breakdown.
+// session costs tens of bytes. U_S deployments add two per-shard
+// util::SlabPools: one of NoveltyFeatureExtractors whose throughput
+// window is carved from the slab (every U_S session gets one at open),
+// and one of [mean, stddev] pair rings, attached on the push that fills
+// the session's window and returned at close - a session that dies
+// before its window fills never holds a ring. U_pi / U_V sessions hold
+// no extractor index and pay zero extractor bytes. MemoryStats() reports
+// the exact breakdown.
 //
 // Per-shard scratch (index/score arrays, packed matrices, a util::Arena)
 // persists across calls, so the steady state is allocation-free; after a
@@ -118,7 +122,8 @@ struct DecisionServiceConfig {
   /// driven by its own thread via OpenSession(g) / DecideBatch(..., g)
   /// concurrently with the other groups.
   std::size_t submitter_count = 1;
-  /// Sessions per slab in the per-shard extractor pool (U_S only).
+  /// Sessions per slab in the per-shard extractor and pair-ring pools
+  /// (U_S only).
   std::size_t extractor_slab_slots = 256;
   /// Hard per-lane SPSC-ring ceiling (util::SpscRing::SetBound); 0 keeps
   /// the rings unbounded (Reserve grows on demand). The network edge sets
@@ -160,14 +165,16 @@ struct ServiceMemoryStats {
   std::size_t session_hot_bytes = 0;  // SafetyState SoA arrays
   std::size_t session_cold_bytes = 0;
   std::size_t trigger_ring_bytes = 0;  // packed variance-trigger windows
-  std::size_t extractor_bytes = 0;     // U_S slab pools (objects + storage)
+  std::size_t extractor_bytes = 0;  // U_S extractor pools (objects + windows)
+  std::size_t pair_ring_bytes = 0;  // U_S pair-ring pools
+  std::size_t pair_rings = 0;       // U_S sessions holding a pair ring
   std::size_t registry_bytes = 0;  // slot registry: last-round/open/free
   std::size_t scratch_bytes = 0;   // shard lanes: arenas, matrices, rings
 
   /// Bytes attributable to session state (everything but shard scratch).
   std::size_t SessionBytes() const {
     return session_hot_bytes + session_cold_bytes + trigger_ring_bytes +
-           extractor_bytes + registry_bytes;
+           extractor_bytes + pair_ring_bytes + registry_bytes;
   }
   std::size_t TotalBytes() const { return SessionBytes() + scratch_bytes; }
   /// Session bytes amortized over the open sessions (0 when none).
@@ -284,7 +291,7 @@ class DecisionService {
 
   /// Adds the same accounting to `meter` under "session.hot",
   /// "session.cold", "session.rings", "session.extractors",
-  /// "session.registry", and "shard.scratch".
+  /// "session.pair_rings", "session.registry", and "shard.scratch".
   void MeasureMemory(util::MemoryMeter& meter) const;
 
  private:
@@ -297,18 +304,22 @@ class DecisionService {
   };
 
   using ExtractorPool = util::SlabPool<core::NoveltyFeatureExtractor>;
+  /// Pair rings: each slot is the address of its own slab-carved ring.
+  using PairPool = util::SlabPool<double*>;
 
   /// Struct-of-arrays session table for one shard, indexed by local slot
   /// (id / shard_count). The epoch scan touches hot[] and rings[] only;
   /// open[] / last_round[] are the validation registry (per shard so
   /// concurrent submitter groups never share registry storage), cold[]
-  /// is introspection, extractor_of[] routes U_S sessions to their
-  /// pooled extractor (empty table for the other signals).
+  /// is introspection, extractor_of[] / pairs_of[] route U_S sessions to
+  /// their pooled extractor and pair ring (kInvalid until the window
+  /// fills; both empty for the other signals).
   struct SessionTable {
     std::vector<core::SafetyState> hot;
     std::vector<core::SafetyCold> cold;
     std::vector<double> rings;  // local slots x ring_width, packed
     std::vector<ExtractorPool::Index> extractor_of;  // U_S only
+    std::vector<PairPool::Index> pairs_of;           // U_S only
     std::vector<std::uint8_t> open;
     std::vector<std::uint64_t> last_round;  // duplicate-request stamps
   };
@@ -319,12 +330,15 @@ class DecisionService {
   /// worker drains. unique_ptr in shards_ because the arena and the
   /// synchronization members are pinned in place (non-movable).
   struct ShardLane {
-    ShardLane(std::size_t slab_slots, std::size_t scratch_doubles)
-        : extractors(slab_slots, scratch_doubles) {}
+    ShardLane(std::size_t slab_slots, std::size_t window_doubles,
+              std::size_t pair_doubles)
+        : extractors(slab_slots, window_doubles),
+          pairs(slab_slots, pair_doubles) {}
 
     // --- session state owned by this shard ---
     SessionTable sessions;
-    ExtractorPool extractors;  // U_S per-session extractors
+    ExtractorPool extractors;  // U_S per-session extractors (windows)
+    PairPool pairs;            // U_S pair rings of full-window sessions
 
     // --- online calibration (owned by whichever thread runs the shard) ---
     util::WindowedP2Quantile sketch;  // trigger statistics, local
@@ -408,7 +422,8 @@ class DecisionService {
 
   std::atomic<std::size_t> active_count_{0};
   std::size_t ring_width_ = 0;        // trigger-ring doubles per session
-  std::size_t extractor_doubles_ = 0;  // slab scratch per U_S session
+  std::size_t window_doubles_ = 0;  // extractor slab scratch (U_S only)
+  std::size_t pair_doubles_ = 0;    // pair-ring slab scratch (U_S only)
   std::atomic<std::uint64_t> round_{0};
 
   // --- online calibration (DESIGN.md §11) ---

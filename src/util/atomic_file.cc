@@ -1,10 +1,13 @@
 #include "util/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -65,6 +68,25 @@ void WriteFileAtomically(const std::filesystem::path& path,
     std::filesystem::remove(tmp, ignored);
     throw;
   }
+}
+
+FileLock::FileLock(const std::filesystem::path& path)
+    : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
+  if (fd_ < 0) {
+    throw std::runtime_error("FileLock: cannot open " + path.string() +
+                             ": " + std::strerror(errno));
+  }
+  while (::flock(fd_, LOCK_EX) != 0) {
+    if (errno == EINTR) continue;
+    const int err = errno;
+    ::close(fd_);
+    throw std::runtime_error("FileLock: cannot lock " + path.string() +
+                             ": " + std::strerror(err));
+  }
+}
+
+FileLock::~FileLock() {
+  ::close(fd_);  // closing the last descriptor releases the lock
 }
 
 }  // namespace osap::util

@@ -1,4 +1,5 @@
-// Atomic file replacement for the on-disk artifact cache.
+// Atomic file replacement and a cross-process lock for the on-disk
+// artifact cache.
 //
 // Several processes may cold-start against one shared cache (the tool
 // smokes under `ctest -j`, a server restarted while a sibling still
@@ -6,7 +7,9 @@
 // reader load a torn file: a short read only forces a retrain, but a
 // region another writer has zero-filled loads as zero weights. Writing a
 // private temp file and renaming it over the final name means a reader
-// sees either the previous file or the complete new one.
+// sees either the previous file or the complete new one. The lock goes
+// one step further: processes that hold it in turn around load-or-train
+// train a bundle once, and the later ones load what the first wrote.
 #pragma once
 
 #include <filesystem>
@@ -24,5 +27,21 @@ namespace osap::util {
 /// propagates.
 void WriteFileAtomically(const std::filesystem::path& path,
                          const std::function<void(std::ostream&)>& write);
+
+/// An exclusive flock(2) on `path` (created if missing, never removed),
+/// held for the object's lifetime; construction blocks until the lock is
+/// free. The kernel drops it if the holder dies, so a crashed trainer
+/// never wedges the cache. Throws std::runtime_error if the file cannot
+/// be opened or locked.
+class FileLock {
+ public:
+  explicit FileLock(const std::filesystem::path& path);
+  ~FileLock();
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  int fd_ = -1;
+};
 
 }  // namespace osap::util

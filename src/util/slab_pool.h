@@ -12,8 +12,9 @@
 //
 // Each slot optionally carries a fixed `scratch_doubles` span carved from
 // the same slab, passed to the factory on first construction. This is how
-// the serving path places each U_S session's novelty-extractor ring
-// inside the shard's slab instead of a private heap buffer.
+// the serving path places each U_S session's throughput window (and, in
+// a second pool, its pair ring) inside a shard slab instead of a private
+// heap buffer.
 //
 // Slot references are stable: slabs never move. Trim() releases wholly
 // free trailing slabs (destroying their slots) so a population spike does

@@ -121,15 +121,31 @@ TEST(NoveltyFeatureExtractor, RingMatchesDequeReferenceBitForBit) {
   }
 }
 
+/// Window + pair-ring storage for one placed extractor.
+std::size_t StorageDoubles(const NoveltyDetectorConfig& cfg) {
+  return NoveltyFeatureExtractor::WindowDoubles(cfg) +
+         NoveltyFeatureExtractor::PairDoubles(cfg);
+}
+
+/// An extractor whose window and pair ring are both placed in `storage`
+/// up front.
+NoveltyFeatureExtractor PlaceBoth(const NoveltyDetectorConfig& cfg,
+                                  std::span<double> storage) {
+  const std::size_t window = NoveltyFeatureExtractor::WindowDoubles(cfg);
+  NoveltyFeatureExtractor placed(cfg, storage.first(window));
+  placed.AttachPairs(storage.subspan(window));
+  return placed;
+}
+
 TEST(NoveltyFeatureExtractor, PlacementStorageMatchesOwningBitForBit) {
-  // The serving path carves each extractor's window + pair ring out of a
-  // shard slab; the span-backed extractor must stream exactly the owning
+  // The serving path carves each extractor's window and pair ring out of
+  // shard slabs; the span-backed extractor must stream exactly the owning
   // one's features, including across a Reset over recycled storage.
   const auto cfg = SmallConfig();
   NoveltyFeatureExtractor owning(cfg);
-  std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg),
+  std::vector<double> storage(StorageDoubles(cfg),
                               -7.0);  // deliberately dirty
-  NoveltyFeatureExtractor placed(cfg, std::span<double>(storage));
+  NoveltyFeatureExtractor placed = PlaceBoth(cfg, storage);
   const auto seq = ThroughputSequence(3.0, 1.0, 200, 9);
   std::vector<double> owning_out(2 * cfg.k);
   std::vector<double> placed_out(2 * cfg.k);
@@ -150,16 +166,21 @@ TEST(NoveltyFeatureExtractor, PlacementStorageMatchesOwningBitForBit) {
 
 TEST(NoveltyFeatureExtractor, PlacementRejectsTooSmallStorage) {
   const auto cfg = SmallConfig();
-  std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg) -
-                              1);
-  EXPECT_THROW(NoveltyFeatureExtractor(cfg, std::span<double>(storage)),
+  std::vector<double> storage(StorageDoubles(cfg) - 1);
+  const std::size_t window = NoveltyFeatureExtractor::WindowDoubles(cfg);
+  EXPECT_THROW(NoveltyFeatureExtractor(
+                   cfg, std::span<double>(storage).first(window - 1)),
+               std::invalid_argument);
+  NoveltyFeatureExtractor placed(cfg,
+                                 std::span<double>(storage).first(window));
+  EXPECT_THROW(placed.AttachPairs(std::span<double>(storage).subspan(window)),
                std::invalid_argument);
 }
 
 TEST(NoveltyFeatureExtractor, CopyOfPlacedExtractorOwnsItsStorage) {
   const auto cfg = SmallConfig();
-  std::vector<double> storage(NoveltyFeatureExtractor::StorageDoubles(cfg));
-  NoveltyFeatureExtractor placed(cfg, std::span<double>(storage));
+  std::vector<double> storage(StorageDoubles(cfg));
+  NoveltyFeatureExtractor placed = PlaceBoth(cfg, storage);
   for (int i = 0; i < 6; ++i) placed.Push(2.0 + i);
 
   NoveltyFeatureExtractor copy = placed;
@@ -174,6 +195,112 @@ TEST(NoveltyFeatureExtractor, CopyOfPlacedExtractorOwnsItsStorage) {
   ASSERT_TRUE(placed.Push(8.0, placed_out));
   ASSERT_TRUE(copy.Push(8.0, out));
   EXPECT_NE(placed_out, out);  // different histories, different features
+}
+
+TEST(NoveltyFeatureExtractor, LateAttachedRingMatchesOwningBitForBit) {
+  // The serving path gives a session only its window at open and attaches
+  // a pair ring from a shared pool on the push that fills the window; a
+  // close detaches it and the ring goes back to the pool for the next
+  // session. That extractor must stream exactly the owning one's features
+  // on random streams, across plain Resets (ring kept) and close/reopen
+  // cycles (ring returned, a recycled - dirty - one attached later).
+  for (const std::size_t window : {2u, 4u, 10u}) {
+    for (const std::size_t k : {1u, 3u, 30u}) {
+      NoveltyDetectorConfig cfg;
+      cfg.throughput_window = window;
+      cfg.k = k;
+      const std::size_t ring = NoveltyFeatureExtractor::PairDoubles(cfg);
+      // A small pool of rings, all dirty; the lazy extractor takes the
+      // most recently returned one, as a slab pool's free list would.
+      std::vector<std::vector<double>> pool(3, std::vector<double>(ring));
+      for (std::size_t r = 0; r < pool.size(); ++r) {
+        std::fill(pool[r].begin(), pool[r].end(), -1.0 - double(r));
+      }
+      std::vector<std::size_t> free_rings = {0, 1, 2};
+      std::size_t held = pool.size();  // ring the lazy extractor holds
+
+      NoveltyFeatureExtractor owning(cfg);
+      std::vector<double> window_storage(window, -5.0);
+      NoveltyFeatureExtractor lazy(cfg, window_storage);
+      Rng events(window * 131 + k);
+      const auto seq =
+          ThroughputSequence(3.0, 1.5, 40 * (window + k), window + 7 * k);
+      std::vector<double> owning_out(2 * k);
+      std::vector<double> lazy_out(2 * k);
+      std::size_t emitted = 0;
+      std::size_t attaches = 0;
+      for (std::size_t i = 0; i < seq.size(); ++i) {
+        const double u = events.Uniform();
+        if (u < 0.02) {  // close + reopen: the ring returns to the pool
+          owning.Reset();
+          lazy.DetachPairs();
+          if (held < pool.size()) free_rings.push_back(held);
+          held = pool.size();
+        } else if (u < 0.03) {  // in-session restart: the ring stays
+          owning.Reset();
+          lazy.Reset();
+        }
+        ASSERT_EQ(lazy.HasPairs(), held < pool.size());
+        if (lazy.NeedsPairs()) {
+          ASSERT_FALSE(free_rings.empty());
+          held = free_rings.back();
+          free_rings.pop_back();
+          lazy.AttachPairs(pool[held]);
+          ++attaches;
+        }
+        const bool a = owning.Push(seq[i], owning_out);
+        const bool b = lazy.Push(seq[i], lazy_out);
+        ASSERT_EQ(a, b) << "window " << window << " k " << k << " push "
+                        << i;
+        if (!a) continue;
+        ++emitted;
+        for (std::size_t d = 0; d < owning_out.size(); ++d) {
+          ASSERT_EQ(lazy_out[d], owning_out[d])
+              << "window " << window << " k " << k << " push " << i
+              << " dim " << d;
+        }
+      }
+      EXPECT_GT(emitted, 0u) << "window " << window << " k " << k;
+      EXPECT_GT(attaches, 1u) << "window " << window << " k " << k;
+    }
+  }
+}
+
+TEST(NoveltyFeatureExtractor, LazyRingIsNeededExactlyOnTheWindowFillingPush) {
+  const auto cfg = SmallConfig();  // window 4, k 3
+  std::vector<double> window(NoveltyFeatureExtractor::WindowDoubles(cfg));
+  std::vector<double> ring(NoveltyFeatureExtractor::PairDoubles(cfg));
+  NoveltyFeatureExtractor lazy(cfg, window);
+  std::vector<double> out(2 * cfg.k);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(lazy.NeedsPairs()) << "push " << i;
+    EXPECT_FALSE(lazy.Push(2.0, out));
+  }
+  EXPECT_FALSE(lazy.HasPairs());
+  EXPECT_TRUE(lazy.NeedsPairs());
+  // The window-filling push would write a pair: refused, state untouched.
+  EXPECT_THROW(lazy.Push(2.0, out), std::invalid_argument);
+  EXPECT_TRUE(lazy.NeedsPairs());
+  EXPECT_THROW(lazy.AttachPairs(std::span<double>(ring).first(5)),
+               std::invalid_argument);
+  lazy.AttachPairs(ring);
+  EXPECT_TRUE(lazy.HasPairs());
+  EXPECT_FALSE(lazy.NeedsPairs());
+  EXPECT_THROW(lazy.AttachPairs(ring), std::invalid_argument);
+  EXPECT_FALSE(lazy.Push(2.0, out));  // pair 1 of 3
+  EXPECT_FALSE(lazy.Push(2.0, out));
+  EXPECT_TRUE(lazy.Push(2.0, out));  // same 6th push as an owning one
+
+  lazy.DetachPairs();  // also restarts warm-up
+  EXPECT_FALSE(lazy.HasPairs());
+  EXPECT_FALSE(lazy.NeedsPairs());
+
+  NoveltyFeatureExtractor owning(cfg);
+  EXPECT_TRUE(owning.HasPairs());
+  EXPECT_THROW(owning.DetachPairs(), std::invalid_argument);
+  // A copy of a ring-less extractor owns both parts.
+  NoveltyFeatureExtractor copy = lazy;
+  EXPECT_TRUE(copy.HasPairs());
 }
 
 TEST(NoveltyDetector, ExtractFeaturesCountsMatchWindowAndK) {

@@ -1,11 +1,18 @@
 #include "core/workbench.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "nn/serialize.h"
 #include "util/logging.h"
 
 namespace osap::core {
@@ -220,6 +227,120 @@ TEST(WorkbenchCache, DanglingSymlinkCacheDirTrainsIntoLinkTarget) {
                     DatasetId::kGamma12)
           .MeanQoe();
   EXPECT_DOUBLE_EQ(trained_qoe, loaded_qoe);
+  std::filesystem::remove_all(root);
+}
+
+std::string ReadWholeFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Child side of the cold-start race: waits on `go`, builds the bundle
+/// against the shared cache with its log in `out/log.txt`, then dumps
+/// every artifact it ended up holding into `out/`. Never returns.
+[[noreturn]] void ColdStartChild(const WorkbenchConfig& cfg, int go,
+                                 const std::filesystem::path& out) {
+  int code = 1;
+  try {
+    std::filesystem::create_directories(out);
+    if (std::freopen((out / "log.txt").c_str(), "w", stderr) == nullptr) {
+      ::_exit(2);
+    }
+    SetLogLevel(LogLevel::kInfo);
+    char byte = 0;
+    (void)::read(go, &byte, 1);  // EOF once the parent releases everyone
+    Workbench bench(cfg);
+    const TrainedBundle& bundle = bench.BundleFor(DatasetId::kGamma12);
+    for (std::size_t m = 0; m < bundle.agents.size(); ++m) {
+      nn::SaveParamsToFile(out / ("agent_" + std::to_string(m) + ".bin"),
+                           bundle.agents[m]->AllParams());
+    }
+    for (std::size_t m = 0; m < bundle.value_nets.size(); ++m) {
+      nn::SaveParamsToFile(out / ("value_" + std::to_string(m) + ".bin"),
+                           bundle.value_nets[m]->Params());
+    }
+    bundle.novelty->Save(out / "ocsvm.bin");
+    std::ofstream calibration(out / "calibration.txt");
+    calibration << std::hexfloat << bundle.nd_in_dist_qoe << ' '
+                << bundle.alpha_pi << ' ' << bundle.alpha_v << '\n';
+    code = calibration ? 0 : 1;
+  } catch (...) {
+    code = 1;
+  }
+  std::fflush(stderr);
+  ::_exit(code);
+}
+
+TEST(WorkbenchCache, ConcurrentColdStartsTrainTheBundleOnce) {
+  // Three processes start against one empty cache at the same instant.
+  // The per-bundle lock lets exactly one train; the other two wait and
+  // load its artifacts, so all three hold byte-identical bundles.
+  const auto root =
+      std::filesystem::temp_directory_path() /
+      ("osap_wb_cold_start_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  WorkbenchConfig cfg = FastWorkbenchConfig();
+  cfg.use_cache = true;
+  cfg.cache_dir = root / "cache";
+  cfg.threads = 1;  // a forked child must not rely on inherited workers
+
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
+  constexpr int kProcesses = 3;
+  std::vector<pid_t> children;
+  for (int i = 0; i < kProcesses; ++i) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(go[1]);
+      ColdStartChild(cfg, go[0], root / ("child_" + std::to_string(i)));
+    }
+    children.push_back(pid);
+  }
+  ::close(go[0]);
+  ::close(go[1]);  // release all children at once
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child " << pid << " status " << status;
+  }
+
+  const std::vector<std::string> loaded_lines = {
+      "loaded agent ensemble from cache", "loaded value ensemble from cache",
+      "loaded OC-SVM from cache", "loaded calibration from cache"};
+  int trained = 0;
+  for (int i = 0; i < kProcesses; ++i) {
+    const std::string log =
+        ReadWholeFile(root / ("child_" + std::to_string(i)) / "log.txt");
+    std::size_t loads = 0;
+    for (const std::string& line : loaded_lines) {
+      loads += log.find(line) != std::string::npos ? 1 : 0;
+    }
+    EXPECT_TRUE(loads == 0 || loads == loaded_lines.size())
+        << "child " << i << " mixed loading and training:\n" << log;
+    if (loads == 0) ++trained;
+  }
+  EXPECT_EQ(trained, 1) << "exactly one cold start may train the bundle";
+
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "child_0")) {
+    if (entry.path().filename() != "log.txt") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  EXPECT_GE(names.size(), 4u);
+  for (const std::string& name : names) {
+    const std::string reference = ReadWholeFile(root / "child_0" / name);
+    EXPECT_FALSE(reference.empty()) << name;
+    for (int i = 1; i < kProcesses; ++i) {
+      EXPECT_EQ(ReadWholeFile(root / ("child_" + std::to_string(i)) / name),
+                reference)
+          << name << " differs in child " << i;
+    }
+  }
   std::filesystem::remove_all(root);
 }
 

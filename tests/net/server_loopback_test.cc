@@ -18,10 +18,13 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abr/abr_environment.h"
@@ -505,6 +508,84 @@ TEST_P(NetServerLoopback, PeerResetMidReplyDoesNotKillServer) {
   EXPECT_EQ(stats.open_sessions, 1u);
   EXPECT_EQ(stats.connections, 1u);
   polite.CloseSession(session);
+}
+
+// A peer that pipelines its last frames and shuts its sending side at
+// once must still get every reply before the server closes: the EOF
+// often lands in the same readiness event (or recv) as the frames, and
+// must be read - not missed, and not taken as "drop what was sent".
+TEST_P(NetServerLoopback, HalfClosedPeerGetsItsRepliesThenTheServerCloses) {
+  const NetWorld& w = SharedNetWorld();
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  ServerRunner server(model, Cfg());
+  std::vector<double> state(model->InputSize(), 0.4);
+  for (int round = 0; round < 5; ++round) {
+    Client client;
+    client.Connect("127.0.0.1", server.Port());
+    const auto session = client.OpenSession();
+    constexpr std::uint64_t kSteps = 4;  // duplicates defer a round each
+    for (std::uint64_t rid = 1; rid <= kSteps; ++rid) {
+      client.SendStep(rid, session, state);
+    }
+    client.Flush();
+    ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+    std::set<std::uint64_t> answered;
+    for (std::uint64_t k = 0; k < kSteps; ++k) {
+      Reply reply;
+      ASSERT_TRUE(client.ReadReply(reply)) << "round " << round;
+      EXPECT_EQ(reply.status, Status::kOk);
+      answered.insert(reply.request_id);
+    }
+    EXPECT_EQ(answered.size(), kSteps);
+    Reply extra;
+    EXPECT_FALSE(client.ReadReply(extra))
+        << "the server closes once the last reply is out";
+  }
+  // Every finished connection (and its session) is reaped.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.server().Stats().connections != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const ServerStats stats = server.server().Stats();
+  EXPECT_EQ(stats.connections, 0u);
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
+// The epoll arm stops reading at a short recv instead of paying one more
+// for EAGAIN: a lone STEP round trip costs epoll_wait + recv + sendmsg.
+TEST(NetServerEpoll, LoneStepRoundTripCostsThreeIoSyscalls) {
+  const NetWorld& w = SharedNetWorld();
+  const auto model = NetModelFor(w, serve::Signal::kNovelty,
+                                 core::DefaultingMode::kPermanent);
+  NetServerConfig cfg;
+  cfg.backend = BackendKind::kEpoll;
+  ServerRunner server(model, cfg);
+  Client client;
+  client.Connect("127.0.0.1", server.Port());
+  const auto session = client.OpenSession();
+  std::vector<double> state(model->InputSize(), 0.4);
+  // The edge counts a syscall after it returns, so read the counter only
+  // once it has stopped moving (the loop is parked in epoll_wait).
+  const auto settled = [&] {
+    std::uint64_t last = server.server().IoSyscalls();
+    for (int still = 0; still < 3;) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::uint64_t now = server.server().IoSyscalls();
+      still = now == last ? still + 1 : 0;
+      last = now;
+    }
+    return last;
+  };
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t before = settled();
+    EXPECT_EQ(client.Step(session, state).status, Status::kOk);
+    EXPECT_EQ(settled() - before, 3u) << "round " << round;
+  }
+  client.CloseSession(session);
 }
 
 // Requesting the uring arm never fails the server: where the kernel

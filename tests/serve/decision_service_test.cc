@@ -454,9 +454,10 @@ TEST(DecisionServiceMemory, UpiSessionsFitTheBudget) {
 }
 
 TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
-  // U_S adds the slab-pooled extractor (window + pair ring carved from
-  // the slab) but drops the trigger ring (binary trigger): the budget is
-  // 512 B/session including slab rounding and capacity slack.
+  // U_S adds the slab-pooled extractor (its throughput window carved from
+  // the slab) but drops the trigger ring (binary trigger), and a session
+  // that has not filled its window holds no pair ring: the budget is
+  // 256 B/session including slab rounding and capacity slack.
   const World& w = SharedWorld();
   DecisionService service(
       ModelFor(
@@ -471,7 +472,81 @@ TEST(DecisionServiceMemory, NoveltySessionsFitTheBudget) {
   EXPECT_EQ(stats.trigger_ring_bytes, 0u)
       << "binary-trigger sessions must pay zero ring bytes";
   EXPECT_GT(stats.extractor_bytes, 0u);
-  EXPECT_LE(stats.BytesPerSession(), 512.0);
+  EXPECT_EQ(stats.pair_rings, 0u);
+  EXPECT_EQ(stats.pair_ring_bytes, 0u)
+      << "sessions that never filled a window must pay zero ring bytes";
+  EXPECT_LE(stats.BytesPerSession(), 256.0)
+      << "hot " << stats.session_hot_bytes << " cold "
+      << stats.session_cold_bytes << " extractors " << stats.extractor_bytes
+      << " registry " << stats.registry_bytes;
+}
+
+TEST(DecisionServiceMemory, NoveltyPairRingsFollowTheWindowAndReturnAtClose) {
+  // A U_S session holds a pair ring from the push that fills its window
+  // until it closes: exactly one per full-window session, none before,
+  // and a mass close hands every ring back and trims the trailing slabs.
+  const World& w = SharedWorld();
+  const core::SafeAgentConfig safety =
+      ConfigFor(w, Signal::kNovelty, core::DefaultingMode::kRevocable);
+  DecisionService service(ModelFor(w, Signal::kNovelty, safety),
+                          DecisionServiceConfig{.shard_count = 4});
+  const std::size_t window = w.novelty->config().throughput_window;
+  const std::size_t ring_bytes =
+      core::NoveltyFeatureExtractor::PairDoubles(w.novelty->config()) *
+      sizeof(double);
+  constexpr std::size_t kMany = 3000;
+  std::vector<DecisionService::SessionId> ids;
+  for (std::size_t i = 0; i < kMany; ++i) ids.push_back(service.OpenSession());
+
+  mdp::State state(w.layout.Size(), 0.0);
+  state[w.layout.ThroughputBegin() + w.layout.history - 1] =
+      2.0 / abr::AbrStateLayout::kThroughputNormMbps;
+  mdp::State warmup(w.layout.Size(), 0.0);  // no measurement: no push
+  const auto step = [&](std::span<const DecisionService::SessionId> which,
+                        const mdp::State& s) {
+    std::vector<DecisionService::Request> requests;
+    for (const auto id : which) requests.push_back({id, &s});
+    std::vector<mdp::Action> out(requests.size());
+    service.DecideBatch(requests, out);
+  };
+
+  // Every session steps once on a warm-up state, then window - 1 times on
+  // a measurement: no window is full yet.
+  step(ids, warmup);
+  for (std::size_t r = 0; r + 1 < window; ++r) step(ids, state);
+  EXPECT_EQ(service.MemoryStats().pair_rings, 0u);
+  EXPECT_EQ(service.MemoryStats().pair_ring_bytes, 0u);
+
+  // The first half fills its windows (and keeps stepping past k pairs);
+  // the other half does not.
+  const std::span<const DecisionService::SessionId> first_half(
+      ids.data(), kMany / 2);
+  for (std::size_t r = 0; r < 3 * window; ++r) step(first_half, state);
+  ServiceMemoryStats stats = service.MemoryStats();
+  EXPECT_EQ(stats.pair_rings, kMany / 2);
+  EXPECT_GE(stats.pair_ring_bytes, kMany / 2 * ring_bytes);
+  EXPECT_LE(stats.pair_ring_bytes, 2 * kMany / 2 * ring_bytes)
+      << "ring slabs must scale with full-window sessions";
+
+  // The other half's next push fills its windows too.
+  step(std::span<const DecisionService::SessionId>(ids).subspan(kMany / 2),
+       state);
+  stats = service.MemoryStats();
+  EXPECT_EQ(stats.pair_rings, kMany);
+  const std::size_t ring_peak = stats.pair_ring_bytes;
+
+  // A close-then-open recycles the session without its ring.
+  service.CloseSession(ids.front());
+  EXPECT_EQ(service.MemoryStats().pair_rings, kMany - 1);
+  ids.front() = service.OpenSession();
+  EXPECT_EQ(service.MemoryStats().pair_rings, kMany - 1);
+
+  for (const auto id : ids) service.CloseSession(id);
+  stats = service.MemoryStats();
+  EXPECT_EQ(stats.open_sessions, 0u);
+  EXPECT_EQ(stats.pair_rings, 0u);
+  EXPECT_LT(stats.pair_ring_bytes, ring_peak / 4)
+      << "wholly free ring slabs must be trimmed after a mass close";
 }
 
 TEST(DecisionServiceMemory, MeterCategoriesMatchTheStats) {
@@ -487,6 +562,7 @@ TEST(DecisionServiceMemory, MeterCategoriesMatchTheStats) {
   EXPECT_EQ(meter.Get("session.hot"), stats.session_hot_bytes);
   EXPECT_EQ(meter.Get("session.rings"), stats.trigger_ring_bytes);
   EXPECT_EQ(meter.Get("session.extractors"), stats.extractor_bytes);
+  EXPECT_EQ(meter.Get("session.pair_rings"), stats.pair_ring_bytes);
   EXPECT_EQ(meter.Get("shard.scratch"), stats.scratch_bytes);
   EXPECT_EQ(meter.Total(), stats.TotalBytes());
 }

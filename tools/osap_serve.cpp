@@ -526,10 +526,11 @@ int main(int argc, char** argv) {
               "(%zu slots)\n",
               mem.BytesPerSession(), mem.open_sessions, mem.session_slots);
   std::printf("  hot %zu B  cold %zu B  rings %zu B  extractors %zu B  "
-              "registry %zu B  shard scratch %.1f KiB\n",
+              "pair rings %zu B (%zu held)  registry %zu B  "
+              "shard scratch %.1f KiB\n",
               mem.session_hot_bytes, mem.session_cold_bytes,
               mem.trigger_ring_bytes, mem.extractor_bytes,
-              mem.registry_bytes,
+              mem.pair_ring_bytes, mem.pair_rings, mem.registry_bytes,
               static_cast<double>(mem.scratch_bytes) / 1024.0);
   // VmHWM can lag a page or two behind a just-grown VmRSS; clamp so the
   // peak never prints below the current value.
